@@ -223,8 +223,10 @@ class Amplitude:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, delta: float = 0.0) -> complex:
+        # summed in phase-power order, so equal amplitudes evaluate to equal
+        # floats however their terms were accumulated
         return sum(
-            (_ccomplex(c) * cmath.exp(1j * k * delta) for k, c in self._terms.items()),
+            (_ccomplex(c) * cmath.exp(1j * k * delta) for k, c in sorted(self._terms.items())),
             0j,
         )
 

@@ -14,13 +14,14 @@ exactly before comparing supports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .amplitude import Amplitude
 from .fock import FockState, Mode, ModeMap, Monomial, monomial, multiplicity_factor
-from .qubits import bell_state, encode_fock, w_state
+from .qubits import W_LABELS, bell_state, encode_fock, w_state
 
 INPUT_MODES = ("a", "b", "c", "d")
 OUTPUT_MODES = ("s", "u", "v", "w")
@@ -69,27 +70,38 @@ def splitter_map(in1: str, in2: str, out1: str, out2: str) -> ModeMap:
 
 @dataclass(frozen=True)
 class OpticalNetwork:
+    """A passive linear network given by its stages, applied in order.
+
+    Propagation substitutes each input creation operator by its image under
+    the composed map, so a multi-photon output is built from single-photon
+    images in one pass.  The stages stay as the exact oracle: applying them one
+    at a time gives the same state.
+    """
+
     stages: tuple[ModeMap, ...]
     input_modes: tuple[str, ...]
     output_modes: tuple[str, ...]
 
     def propagate(self, state: FockState) -> FockState:
-        for stage in self.stages:
-            state = state.apply_mode_map(stage)
-        return state
+        return state.apply_mode_map(self.composed_map())
 
     def composed_map(self) -> ModeMap:
-        mm = self.stages[0]
-        for stage in self.stages[1:]:
-            mm = mm.compose(stage)
-        return mm
+        return self._composed
+
+    @functools.cached_property
+    def _composed(self) -> ModeMap:
+        return functools.reduce(ModeMap.compose, self.stages)
 
     def is_isometry(self) -> bool:
         return all(stage.is_isometry() for stage in self.stages) and self.composed_map().is_isometry()
 
 
+@functools.cache
 def w_analyzer() -> OpticalNetwork:
-    """Four time-bin interferometers I..IV feeding the two final splitters."""
+    """Four time-bin interferometers I..IV feeding the two final splitters.
+
+    Built once; every caller shares the network and its composed map.
+    """
     stages = (
         interferometer_map("a", "b", "e", "f").extended("cd"),
         interferometer_map("c", "d", "g", "h").extended("ef"),
@@ -139,11 +151,8 @@ class DetectionTable:
         out = []
         for label in sorted(self.patterns):
             for pat, prob in zip(self.patterns[label], self.pattern_probs[label]):
-                out.append((f"W4_{_LABEL_CHARS[label]}", render_pattern(pat), prob))
+                out.append((f"W4_{W_LABELS[label]}", render_pattern(pat), prob))
         return out
-
-
-_LABEL_CHARS = "0123456789abcdef"
 
 
 def render_pattern(mon: Monomial) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import derive_detection_table, reference_table, render_pattern
@@ -27,7 +28,7 @@ from .keyrate import (
     sweep,
 )
 from .protocol import TrialConfig, estimate, exact_enumerate, run_trials
-from .qubits import catalog_lines
+from .qubits import W_LABELS, catalog_lines
 from .verify import run_all
 
 EXIT_OK = 0
@@ -164,9 +165,9 @@ def _table_lines(table, fmt: str) -> list[str]:
     else:
         for label in sorted(table.patterns):
             pats = " ".join(render_pattern(p) for p in table.patterns[label])
-            lines.append(f"W4_{'0123456789abcdef'[label]}  p={float(table.success_probability[label])}  {pats}")
+            lines.append(f"W4_{W_LABELS[label]}  p={float(table.success_probability[label])}  {pats}")
     for label in sorted(table.patterns):
-        lines.append(f"# success W4_{'0123456789abcdef'[label]} {float(table.success_probability[label])}")
+        lines.append(f"# success W4_{W_LABELS[label]} {float(table.success_probability[label])}")
     lines.append(f"# D_p {float(table.overall)}")
     return lines
 
@@ -283,9 +284,9 @@ def cmd_enumerate(opts: dict) -> int:
     eta, y0 = opts["eta"], opts["y0"]
     mode = opts["mode"]
     cfg = TrialConfig(etas=(eta,) * 4, y0=y0, mode=mode, delta=opts["delta"])
-    result = exact_enumerate(cfg, table)
-    paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"), table)
-    physical = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"), table)
+    paper = exact_enumerate(replace(cfg, mode="paper"), table)
+    physical = exact_enumerate(replace(cfg, mode="physical"), table)
+    result = paper if cfg.mode == "paper" else physical
     q1c = q1_identical(eta, NoiseParams(y0), constants)
     e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else 0.0
     lines = [f"# wqkd enumerate mode={mode} eta={eta} y0={y0}"]

@@ -45,13 +45,6 @@ def monomial(*modes: Mode) -> Monomial:
     return tuple(sorted(modes, key=Mode.sort_key))
 
 
-def occupations(mon: Monomial) -> dict[Mode, int]:
-    occ: dict[Mode, int] = {}
-    for m in mon:
-        occ[m] = occ.get(m, 0) + 1
-    return occ
-
-
 def multiplicity_factor(mon: Monomial) -> int:
     """Product of n! over slot occupations n (norm of the bare monomial)."""
     out = 1
@@ -103,13 +96,6 @@ class FockState:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def photon_number(self) -> int | None:
-        """Common photon number of all monomials, or None for a mixed state."""
-        sizes = {len(m) for m in self._terms}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
@@ -310,7 +296,3 @@ class ModeMap:
                 if dot != want:
                     return False
         return True
-
-
-def apply_mode_map(state: FockState, mm: ModeMap) -> FockState:
-    return state.apply_mode_map(mm)

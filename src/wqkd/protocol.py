@@ -35,7 +35,6 @@ from .analyzer import (
     INPUT_MODES,
     OUTPUT_MODES,
     DetectionTable,
-    OpticalNetwork,
     derive_detection_table,
     w_analyzer,
 )
@@ -81,6 +80,10 @@ class TrialConfig:
             raise ValueError(f"unknown basis {self.basis!r}")
         if len(self.etas) != 4:
             raise ValueError("four per-party transmittances are required")
+        if not all(0 <= eta <= 1 for eta in self.etas):
+            raise ValueError(f"transmittances must lie in [0, 1], got {self.etas}")
+        if not 0 <= self.y0 < 1:
+            raise ValueError(f"dark-count probability y0 must lie in [0, 1), got {self.y0}")
         if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
         if self.trials < 1:
@@ -125,15 +128,7 @@ def sift(label: int, bits: Sequence[int], roles: tuple[int, int] = (0, 1)) -> Si
 
 # -- exact propagation of survivor configurations ----------------------------
 
-_NETWORK: OpticalNetwork | None = None
 _Z_OUTCOME_CACHE: dict[tuple, list] = {}
-
-
-def _network() -> OpticalNetwork:
-    global _NETWORK
-    if _NETWORK is None:
-        _NETWORK = w_analyzer()
-    return _NETWORK
 
 
 def _survivor_state(survivor_bits: tuple[tuple[int, int], ...]) -> FockState:
@@ -141,7 +136,7 @@ def _survivor_state(survivor_bits: tuple[tuple[int, int], ...]) -> FockState:
     if not survivor_bits:
         return FockState.vacuum()
     modes = [Mode(INPUT_MODES[party], bit) for party, bit in survivor_bits]
-    return _network().propagate(FockState.from_monomial(modes))
+    return w_analyzer().propagate(FockState.from_monomial(modes))
 
 
 def _z_outcomes(survivor_bits: tuple[tuple[int, int], ...]) -> list[tuple[Monomial, Fraction, int, bool]]:
@@ -321,7 +316,7 @@ def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> li
             }
         )
         state = state.tensor(photon)
-    state = _network().propagate(state)
+    state = w_analyzer().propagate(state)
     out = []
     for mon, _ in state.terms():
         p = float(state.pattern_probability(mon, delta))
@@ -471,7 +466,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # at p = 0 or 1 the bound is exactly 0 or 1; the float difference is not
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return (lo, hi)
 
 
 def estimate(t: Tally) -> EstimateReport:

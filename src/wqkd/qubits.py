@@ -202,10 +202,6 @@ def parse_w_label(label: int | str) -> int:
     raise ValueError(f"W label index {label} out of range")
 
 
-def w_label_char(label: int) -> str:
-    return W_LABELS[parse_w_label(label)]
-
-
 def w_state(label: int | str) -> QubitState:
     """One of the 16 orthonormal four-qubit W basis states."""
     idx = parse_w_label(label)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -109,3 +110,19 @@ def test_rendering():
     assert str(Amplitude.zero()) == "0"
     b = Amplitude.gauss(-1, 2, 3, phase=-1)
     assert str(b) == "(-1+2i)/2^(3/2) * phi^-1"
+
+
+def test_evaluate_is_independent_of_accumulation_order():
+    # equal amplitudes accumulated in opposite orders; summed in dict order
+    # their float values differed in the last ulp
+    terms = (
+        Amplitude.gauss(64, -6, 0, phase=4),
+        Amplitude.gauss(36, -21, 2, phase=5),
+        Amplitude.gauss(-13, -5, 6, phase=6),
+    )
+    forward = terms[0] + terms[1] + terms[2]
+    backward = terms[2] + terms[1] + terms[0]
+    assert forward == backward
+    delta = math.pi / 8
+    assert forward.evaluate(delta) == backward.evaluate(delta)
+    assert forward.abs2(delta) == backward.abs2(delta)

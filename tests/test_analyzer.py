@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+from wqkd import protocol
 from wqkd.amplitude import Amplitude
 from wqkd.analyzer import (
+    INPUT_MODES,
     REFERENCE_OVERALL,
     REFERENCE_SUCCESS,
+    OpticalNetwork,
     bell_analyzer,
     bell_success_rates,
     click_distribution,
@@ -49,6 +53,37 @@ def test_splitter_maps_reproduce_final_stage_forms():
 def test_networks_are_exact_isometries():
     assert w_analyzer().is_isometry()
     assert bell_analyzer().is_isometry()
+
+
+def _staged_propagate(net, state):
+    """The oracle: each stage's mode map applied in turn."""
+    for stage in net.stages:
+        state = state.apply_mode_map(stage)
+    return state
+
+
+def test_composed_propagation_equals_staged_oracle(monkeypatch):
+    net = w_analyzer()
+    for label in range(16):
+        state = encode_fock(w_state(label), INPUT_MODES)
+        assert net.propagate(state) == _staged_propagate(net, state), label
+    # one survivor configuration per photon number; the X outcomes are
+    # floats evaluated at a delay and must agree bit for bit
+    z_configs = (((0, 1),), ((0, 0), (2, 1)), ((0, 1), (1, 0), (3, 1)), ((0, 0), (1, 1), (2, 0), (3, 1)))
+    x_configs = (((1, 1),), ((0, 1), (1, 0)), ((0, 0), (1, 0), (2, 0)))
+    delta = math.pi / 8
+
+    def outcomes():
+        return (
+            [protocol._z_outcomes(c) for c in z_configs],
+            [protocol._x_outcomes(c, delta) for c in x_configs],
+        )
+
+    composed = outcomes()
+    monkeypatch.setattr(OpticalNetwork, "propagate", _staged_propagate)
+    monkeypatch.setattr(protocol, "_Z_OUTCOME_CACHE", {})
+    monkeypatch.setattr(protocol, "_X_OUTCOME_CACHE", {})
+    assert outcomes() == composed
 
 
 def test_isometry_on_randomized_states():

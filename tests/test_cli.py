@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from wqkd import cli
 from wqkd.cli import main
 
 
@@ -73,11 +76,42 @@ def test_keyrate_bad_range(capsys):
     assert code == 1
 
 
-def test_enumerate_command(capsys):
+# sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the
+# command still enumerated the chosen mode a second time
+_ENUMERATE_STDOUT_SHA256 = {
+    "paper": "80785bdf8fda3f911d7b50b82f00ac5d1e77e8ef18c187b14238cec509b4e16b",
+    "physical": "446b8509a4cf6d30ec047f43eff2927248d78eae77b7223118f9474d3ae0157f",
+}
+
+
+def test_enumerate_command(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "--mode", "paper", "--eta", "0.0145")
     assert code == 0
     assert "paper_vs_closed_form_rel_delta" in out
     assert "physical_vs_paper_gain_gap" in out
+    # one enumeration per accounting mode, the chosen one reused
+    modes = []
+    enumerate_ = cli.exact_enumerate
+
+    def counted(cfg, table=None):
+        modes.append(cfg.mode)
+        return enumerate_(cfg, table)
+
+    monkeypatch.setattr(cli, "exact_enumerate", counted)
+    for mode, digest in _ENUMERATE_STDOUT_SHA256.items():
+        modes.clear()
+        code, out, _ = run(capsys, "enumerate", "--mode", mode, "--eta", "0.0145")
+        assert code == 0
+        assert sorted(modes) == ["paper", "physical"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flag", ["--eta=1.5", "--eta=-0.1", "--y0=-0.1", "--y0=1"])
+def test_simulate_rejects_out_of_range_channel(capsys, flag):
+    code, out, err = run(capsys, "simulate", "--trials", "10", flag)
+    assert code == 1
+    assert out == ""
+    assert "must lie in" in err
 
 
 def test_simulate_deterministic(capsys, tmp_path):

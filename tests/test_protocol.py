@@ -55,6 +55,15 @@ def test_config_validation():
         TrialConfig(trials=0)
     with pytest.raises(ValueError):
         TrialConfig(announcers=(1, 1))
+    for etas in ((0.5, 0.5, 0.5, 1.5), (-0.1, 0.5, 0.5, 0.5), (Fraction(3, 2),) * 4, (math.nan,) * 4):
+        with pytest.raises(ValueError, match="transmittances"):
+            TrialConfig(etas=etas)
+    for y0 in (-0.1, 1.0, Fraction(-1, 10**6), math.nan):
+        with pytest.raises(ValueError, match="y0"):
+            TrialConfig(y0=y0)
+    # boundary values and exact fractions stay valid
+    TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0))
+    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3))
 
 
 def test_enumerator_dark_only_case(table):
@@ -263,4 +272,6 @@ def test_wilson_interval_sanity():
     assert lo < 0.5 < hi
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo, hi = wilson_interval(0, 100)
-    assert lo == pytest.approx(0.0, abs=1e-12) and hi < 0.05
+    assert lo == 0.0 and hi < 0.05
+    lo, hi = wilson_interval(100, 100)
+    assert lo > 0.95 and hi == 1.0
