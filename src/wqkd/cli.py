@@ -58,6 +58,8 @@ _DEFAULTS = {
 
 _FLOAT_KEYS = ("alpha", "eta_d", "y0", "q", "delta", "dmin", "dmax", "dstep", "eta")
 _INT_KEYS = ("trials", "seed")
+_CHOICES = {"format": ("csv", "text"), "mode": ("paper", "physical"), "basis": ("z", "x")}
+_MAX_POINTS = 100_000  # keyrate sweep length; also stops a step too small to advance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +76,7 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--config", type=str, help="key=value file; flags override it")
         sp.add_argument("--out", type=str, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "text"), help="output format")
+        sp.add_argument("--format", choices=_CHOICES["format"], help="output format")
 
     sp = sub.add_parser("derive-table", help="derive the distinguishable-state table")
     common(sp)
@@ -99,12 +101,12 @@ def _build_parser() -> _Parser:
         common(sp)
         sp.add_argument("--eta", type=float, help="per-party transmittance (all equal)")
         sp.add_argument("--y0", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--mode", choices=("paper", "physical"))
-        if name == "simulate":
+        sp.add_argument("--mode", choices=_CHOICES["mode"])
+        if name == "simulate":  # the exact enumerator is Z-basis only, so no delay
+            sp.add_argument("--delta", type=float)
             sp.add_argument("--trials", type=int)
             sp.add_argument("--seed", type=int)
-            sp.add_argument("--basis", choices=("z", "x"))
+            sp.add_argument("--basis", choices=_CHOICES["basis"])
     return p
 
 
@@ -133,6 +135,8 @@ def _merge(args: argparse.Namespace) -> dict:
                 merged[key] = float(value)
             elif key in _INT_KEYS:
                 merged[key] = int(float(value))
+            elif key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"config key {key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
             else:
                 merged[key] = value
     for key, value in vars(args).items():
@@ -234,6 +238,9 @@ def cmd_keyrate(opts: dict) -> int:
     distances = []
     d = opts["dmin"]
     while d <= opts["dmax"] + 1e-9:
+        if len(distances) == _MAX_POINTS:
+            print(f"error: distance range has more than {_MAX_POINTS} points", file=sys.stderr)
+            return EXIT_USAGE
         distances.append(round(d, 9))
         d += opts["dstep"]
     header = (
@@ -283,7 +290,7 @@ def cmd_enumerate(opts: dict) -> int:
     constants = AnalyzerConstants.from_table(table)
     eta, y0 = opts["eta"], opts["y0"]
     mode = opts["mode"]
-    cfg = TrialConfig(etas=(eta,) * 4, y0=y0, mode=mode, delta=opts["delta"])
+    cfg = TrialConfig(etas=(eta,) * 4, y0=y0, mode=mode)
     paper = exact_enumerate(replace(cfg, mode="paper"), table)
     physical = exact_enumerate(replace(cfg, mode="physical"), table)
     result = paper if cfg.mode == "paper" else physical

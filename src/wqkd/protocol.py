@@ -14,9 +14,13 @@ Two accounting modes:
 * ``physical`` - raw threshold semantics: a slot clicks when at least one
                  photon or dark event lands in it; bunching is invisible.
 
-The Monte-Carlo sampler realizes the same model with counter-based randomness
-(fixed-size chunks keyed by (seed, chunk index)), so results are bit-identical
-under any degree of parallelism.
+The Monte-Carlo sampler realizes the same model with counter-based randomness:
+fixed-size chunks, each drawing from a Philox stream keyed by (seed, chunk
+index), so a tally depends only on the seed and the trial count.  A chunk
+draws its trial counts over the live (input class, photon outcome) entries
+and one dead bucket of outcomes that are never announced, then its dark
+clicks sparsely: a binomial count over the chunk's slots, then that many
+distinct positions.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +48,6 @@ from .keyrate import CaseBreakdown
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
-_WORDS = 22  # uniforms consumed per trial: bits, 4 survival, pattern, 16 darks
 
 _LABEL_TO_IDX = {label: i for i, label in enumerate(DISTINGUISHABLE_LABELS)}
 
@@ -296,7 +299,7 @@ class Tally:
         return None if self.accepted == 0 else self.errors / self.accepted
 
 
-_X_OUTCOME_CACHE: dict[tuple, list] = {}
+_X_OUTCOME_CACHE: dict[tuple, list] = {}  # keyed by (survivors, delta); one delta at a time
 
 
 def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> list[tuple[float, int, bool]]:
@@ -304,6 +307,8 @@ def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> li
     cached = _X_OUTCOME_CACHE.get(key)
     if cached is not None:
         return cached
+    if _X_OUTCOME_CACHE and next(iter(_X_OUTCOME_CACHE))[1] != delta:
+        _X_OUTCOME_CACHE.clear()  # a delay sweep must not grow the cache
     state = FockState.vacuum()
     root = Amplitude.gauss(1, 0, 1)
     for party, xbit in survivor_xbits:
@@ -325,120 +330,162 @@ def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> li
     return out
 
 
-class _ClassTables:
-    """Per-(input bits, survival subset) sampling tables for the MC engine."""
+@dataclass(frozen=True)
+class _LiveRows:
+    """Live photon outcomes of the 256 input classes (bits * 16 + survival subset).
 
-    def __init__(self, cfg: TrialConfig, table: DetectionTable):
-        n_classes = 256
-        outcome_rows: list[list[tuple[float, int, bool]]] = []
-        self.accept_ok = np.zeros(n_classes, dtype=bool)
-        self.err_flag = np.zeros(n_classes, dtype=bool)
-        self.accept_labels01 = np.zeros(n_classes, dtype=bool)
-        self.accept_labelscd = np.zeros(n_classes, dtype=bool)
-        self.case_k = np.zeros(n_classes, dtype=np.int8)
-        ra, rb = cfg.announcers
-        ha, hb = cfg.key_holders
-        for bits in range(16):
-            ann = (_party_bit(bits, ra), _party_bit(bits, rb))
-            for surv in range(16):
-                cid = bits * 16 + surv
-                survivors = tuple(
-                    (p, _party_bit(bits, p)) for p in range(4) if (surv >> (3 - p)) & 1
-                )
-                self.case_k[cid] = len(survivors)
-                self.err_flag[cid] = _party_bit(bits, ha) == _party_bit(bits, hb)
-                if cfg.basis == "z":
-                    self.accept_labels01[cid] = ann == (0, 0)
-                    self.accept_labelscd[cid] = ann == (1, 1)
-                    outs = [
-                        (float(p), mask, free)
-                        for _, p, mask, free in _z_outcomes(survivors)
-                    ]
-                else:
-                    keep = ann[0] != ann[1]
-                    self.accept_labels01[cid] = keep
-                    self.accept_labelscd[cid] = keep
-                    outs = _x_outcomes(survivors, cfg.delta)
-                outcome_rows.append(outs)
-        kmax = max(len(o) for o in outcome_rows)
-        self.cum = np.full((n_classes, kmax), 2.0)
-        self.mask = np.zeros((n_classes, kmax), dtype=np.uint32)
-        self.paper_ok = np.zeros((n_classes, kmax), dtype=bool)
-        for cid, outs in enumerate(outcome_rows):
-            acc = 0.0
-            for j, (p, mask, free) in enumerate(outs):
-                acc += p
-                self.cum[cid, j] = acc
-                self.mask[cid, j] = mask
-                self.paper_ok[cid, j] = free
-            # guard against float round-off at the top of the CDF
-            if outs:
-                self.cum[cid, len(outs) - 1] = max(self.cum[cid, len(outs) - 1], 1.0)
-        self.label_lut = np.full(1 << N_SLOTS, -1, dtype=np.int8)
-        for label, pats in table.patterns.items():
-            idx = _LABEL_TO_IDX[label]
-            for p in pats:
-                self.label_lut[slot_mask(p)] = idx
+    An outcome is live when its slot mask lies inside some detection pattern.
+    Dark counts only add clicks, so no other outcome can ever be announced.
+    """
+
+    key: tuple
+    label_bit: np.ndarray  # click mask -> 1 << index of its label, 0 if no pattern
+    cls: np.ndarray
+    prob: np.ndarray  # outcome probability given the class
+    mask: np.ndarray
+    free: np.ndarray  # no slot holds two photons
+
+
+_LIVE_ROWS: dict[str, _LiveRows] = {}  # per basis; the X rows hold one delta at a time
+
+
+def _live_rows(cfg: TrialConfig, table: DetectionTable) -> _LiveRows:
+    patterns = tuple(sorted((slot_mask(p), label) for label, pats in table.patterns.items() for p in pats))
+    key = (patterns, cfg.delta if cfg.basis == "x" else None)
+    rows = _LIVE_ROWS.get(cfg.basis)
+    if rows is not None and rows.key == key:
+        return rows
+    label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
+    live: set[int] = set()
+    for pmask, label in patterns:
+        label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
+        sub = pmask
+        while True:  # every submask of the pattern, the empty one included
+            live.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & pmask
+    outcomes: list[tuple[float, int, bool]] = []
+    spans: dict[tuple, range] = {}  # survivor configuration -> its rows of outcomes
+    of_class = []
+    for cid in range(256):
+        bits, surv = divmod(cid, 16)
+        survivors = tuple((p, _party_bit(bits, p)) for p in range(4) if _party_bit(surv, p))
+        span = spans.get(survivors)
+        if span is None:
+            if cfg.basis == "z":
+                # dead outcomes are dropped before their Fractions are converted
+                new = [(float(p), m, f) for _, p, m, f in _z_outcomes(survivors) if m in live]
+            else:
+                new = [o for o in _x_outcomes(survivors, cfg.delta) if o[1] in live]
+            span = spans[survivors] = range(len(outcomes), len(outcomes) + len(new))
+            outcomes += new
+        of_class.append(span)
+    take = np.fromiter(chain.from_iterable(of_class), dtype=np.intp)
+    prob, mask, free = (np.array(column)[take] for column in zip(*outcomes))
+    rows = _LiveRows(
+        key,
+        label_bit,
+        np.repeat(np.arange(256), [len(span) for span in of_class]),
+        prob,
+        mask.astype(np.uint32),
+        free,
+    )
+    _LIVE_ROWS[cfg.basis] = rows
+    return rows
+
+
+_PHOTONS = np.array([bin(surv).count("1") for surv in range(16)], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _Entries:
+    """The sampler's live entries for one configuration; all else is dead.
+
+    Entry i gathers the (input class, photon outcome) pairs that tally alike:
+    photon slot mask ``mask[i]``, the label bits the announcers' bits accept,
+    the error flag of the key holders' bits and the number of surviving
+    photons.  ``prob[i]`` is their summed probability.
+    """
+
+    prob: np.ndarray
+    mask: np.ndarray
+    accepts: np.ndarray
+    error: np.ndarray
+    photons: np.ndarray
+
+
+def _entries(cfg: TrialConfig, rows: _LiveRows) -> _Entries:
+    subsets = np.arange(16)
+    weight = np.full(16, 1 / 16)
+    for party, eta in enumerate(cfg.etas):
+        weight *= np.where(_party_bit(subsets, party), float(eta), 1 - float(eta))
+    accepts = np.zeros(16, dtype=np.int64)
+    error = np.zeros(16, dtype=np.int64)
+    ha, hb = cfg.key_holders
+    for bits in range(16):
+        labels = _allowed_labels(bits, cfg.announcers)
+        if cfg.basis == "x":  # announcers with different x bits, either label group
+            labels = () if labels else DISTINGUISHABLE_LABELS
+        accepts[bits] = sum(1 << _LABEL_TO_IDX[label] for label in labels)
+        error[bits] = _party_bit(bits, ha) == _party_bit(bits, hb)
+    bits, surv = np.divmod(rows.cls, 16)
+    prob = weight[surv] * rows.prob
+    if cfg.mode == "paper":
+        prob[~rows.free] = 0.0  # bunched outcomes join the dead bucket
+    kind = (rows.mask.astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | _PHOTONS[surv]
+    # merging shortens the multinomial draw: 9420 live Z rows make 1674 entries
+    keep = prob > 0
+    kind, inverse = np.unique(kind[keep], return_inverse=True)
+    return _Entries(
+        np.bincount(inverse, weights=prob[keep]),
+        (kind >> 8).astype(np.uint32),
+        (kind >> 4) & 15,
+        ((kind >> 3) & 1).astype(bool),
+        kind & 7,
+    )
 
 
 def run_trials(cfg: TrialConfig, table: DetectionTable | None = None) -> Tally:
     """Seeded Monte-Carlo realization of the protocol model.
 
-    Trial t lives in chunk t // 65536; each chunk draws from its own
-    counter-based Philox stream keyed by (seed, chunk index), so any parallel
-    or sequential execution order produces the same tally.
+    Trial t lives in chunk t // 65536; the module docstring says what a chunk
+    draws.  A tally ignores trial order, so each chunk expands its entry
+    counts into trials in entry order, live trials first.
     """
     tab = table or derive_detection_table()
-    tables = _ClassTables(cfg, tab)
-    etas = np.array([float(e) for e in cfg.etas])
+    rows = _live_rows(cfg, tab)
+    ent = _entries(cfg, rows)
+    pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
+    index = np.arange(ent.prob.size, dtype=np.intp)
     y0 = float(cfg.y0)
-    powers = (1 << np.arange(N_SLOTS, dtype=np.uint32)).astype(np.uint32)
-    announced_n = accepted_n = errors_n = 0
+    announced_n = 0
     case_acc = np.zeros(5, dtype=np.int64)
     case_err = np.zeros(5, dtype=np.int64)
-    paper = cfg.mode == "paper"
     for chunk in range((cfg.trials + _CHUNK - 1) // _CHUNK):
         n = min(_CHUNK, cfg.trials - chunk * _CHUNK)
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[cfg.seed, chunk])))
-        u = gen.random((n, _WORDS))
-        bits = (u[:, 0] * 16).astype(np.int32)
-        surv_bits = (u[:, 1:5] < etas[None, :]).astype(np.int32)
-        surv = (surv_bits[:, 0] << 3) | (surv_bits[:, 1] << 2) | (surv_bits[:, 2] << 1) | surv_bits[:, 3]
-        cls = bits * 16 + surv
-        # per-class inverse-CDF sampling of the photon click outcome
-        idx = np.empty(n, dtype=np.int64)
-        order = np.argsort(cls, kind="stable")
-        sorted_cls = cls[order]
-        bounds = np.searchsorted(sorted_cls, np.arange(257))
-        for c in range(256):
-            lo, hi = bounds[c], bounds[c + 1]
-            if lo == hi:
-                continue
-            rows = order[lo:hi]
-            idx[rows] = np.searchsorted(tables.cum[c], u[rows, 5], side="right")
-        photon_mask = tables.mask[cls, idx]
-        dark_mask = ((u[:, 6:] < y0) @ powers).astype(np.uint32)
-        click = photon_mask | dark_mask
-        label_idx = tables.label_lut[click]
-        announced = label_idx >= 0
-        if paper:
-            announced &= tables.paper_ok[cls, idx]
-        accepted = announced & np.where(
-            label_idx <= 1, tables.accept_labels01[cls], tables.accept_labelscd[cls]
-        )
-        errors = accepted & tables.err_flag[cls]
-        announced_n += int(announced.sum())
-        accepted_n += int(accepted.sum())
-        errors_n += int(errors.sum())
-        kk = tables.case_k[cls]
-        case_acc += np.bincount(kk[accepted], minlength=5)
-        case_err += np.bincount(kk[errors], minlength=5)
+        # trials in the dead bucket (the last count) are never announced
+        entry = np.repeat(index, gen.multinomial(n, pvals)[:-1])
+        click = ent.mask[entry]
+        darks = gen.binomial(N_SLOTS * n, y0)
+        if darks:
+            pos = gen.choice(N_SLOTS * n, darks, replace=False, shuffle=False)
+            pos = pos[pos < N_SLOTS * entry.size]  # live trials come first
+            np.bitwise_or.at(click, pos // N_SLOTS, np.left_shift(1, pos % N_SLOTS).astype(np.uint32))
+        hit = rows.label_bit[click]
+        announced = np.flatnonzero(hit)
+        announced_n += announced.size
+        announced_entry = entry[announced]
+        accepted = announced_entry[(hit[announced] & ent.accepts[announced_entry]) != 0]
+        case_acc += np.bincount(ent.photons[accepted], minlength=5)
+        case_err += np.bincount(ent.photons[accepted[ent.error[accepted]]], minlength=5)
     return Tally(
         cfg,
         cfg.trials,
         announced_n,
-        accepted_n,
-        errors_n,
+        int(case_acc.sum()),
+        int(case_err.sum()),
         tuple(int(x) for x in case_acc),
         tuple(int(x) for x in case_err),
     )

@@ -76,6 +76,23 @@ def test_keyrate_bad_range(capsys):
     assert code == 1
 
 
+def test_keyrate_rejects_too_many_points(capsys):
+    # a step this small never advances the distance in float arithmetic
+    code, out, err = run(capsys, "keyrate", "--dstep", "1e-300", "--dmax", "1")
+    assert code == 1
+    assert out == ""
+    assert "more than 100000 points" in err
+
+
+def test_enumerate_rejects_delta(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--eta", "0.1", "--delta", "5"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--delta" in captured.err
+
+
 # sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the
 # command still enumerated the chosen mode a second time
 _ENUMERATE_STDOUT_SHA256 = {
@@ -164,6 +181,19 @@ def test_config_file_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("derive-table", "format = xml"), ("simulate", "mode = loose"), ("simulate", "basis = y")],
+)
+def test_config_file_values_checked_against_choices(capsys, tmp_path, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "must be one of" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from wqkd import protocol
 from wqkd.errors import InvalidLabel, NoAcceptedEvents
 from wqkd.keyrate import (
     NoiseParams,
@@ -241,6 +243,69 @@ def test_mc_paper_mode_excludes_bunched_events(table):
     q1 = float(exact.q1)
     sigma = math.sqrt(q1 * (1 - q1) / cfg_paper.trials)
     assert abs(t_paper.q1_hat - q1) <= 3 * sigma
+
+
+@pytest.mark.parametrize("y0", [0.0, 6.02e-6, 1e-2])
+@pytest.mark.parametrize("etas", [(0.0145,) * 4, (0.1, 0.2, 0.3, 0.4)])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
+    # accepted gain of the sampler's own entry table: an entry lands on an
+    # accepted pattern P containing its photon mask when darks fill P's other
+    # slots and none of the 12 slots outside P fires
+    cfg = TrialConfig(etas=etas, y0=y0, mode=mode)
+    ent = protocol._entries(cfg, protocol._live_rows(cfg, table))
+    photons_in = np.array([int(m).bit_count() for m in ent.mask])
+    gain = err = 0.0
+    for label, pats in table.patterns.items():
+        for pat in pats:
+            pmask = protocol.slot_mask(pat)
+            inside = ((ent.mask | pmask) == pmask) & ((ent.accepts >> protocol._LABEL_TO_IDX[label]) & 1 == 1)
+            w = ent.prob[inside] * y0 ** (4 - photons_in[inside]) * (1 - y0) ** 12
+            gain += w.sum()
+            err += w[ent.error[inside]].sum()
+    exact = exact_enumerate(
+        TrialConfig(etas=tuple(Fraction(e) for e in etas), y0=Fraction(y0), mode=mode), table
+    )
+    assert gain == pytest.approx(float(exact.q1), rel=1e-12, abs=0)
+    assert err == pytest.approx(float(sum(exact.error_cases)), rel=1e-12, abs=0)
+
+
+def test_mc_dense_dark_counts(table):
+    cfg = TrialConfig(etas=(0.5,) * 4, y0=1e-2, mode="physical", trials=300_000, seed=31)
+    tally = run_trials(cfg, table)
+    exact = exact_enumerate(
+        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 100), mode="physical"), table
+    )
+    q1, e1 = float(exact.q1), float(exact.e1)
+    assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
+    assert abs(tally.e1_hat - e1) <= 3 * math.sqrt(e1 * (1 - e1) / tally.accepted)
+
+
+@pytest.mark.parametrize("eta, y0", [(0, 0.2), (1, 1e-2)])
+def test_mc_boundary_transmittances(table, eta, y0):
+    # at eta 0 the live vacuum entries carry all the mass, so round-off must not
+    # push the dead bucket below zero; at eta 1 only four-photon entries count
+    cfg = TrialConfig(etas=(float(eta),) * 4, y0=y0, mode="physical", trials=100_000, seed=41)
+    tally = run_trials(cfg, table)
+    exact = exact_enumerate(TrialConfig(etas=(Fraction(eta),) * 4, y0=Fraction(y0), mode="physical"), table)
+    q1 = float(exact.q1)
+    assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
+    assert sum(tally.per_case_accepted) == tally.accepted <= tally.announced
+    assert tally.per_case_accepted[4 * eta] == tally.accepted  # no photon or all four survive
+
+
+def test_x_caches_hold_one_delay(table, monkeypatch):
+    monkeypatch.setattr(protocol, "_X_OUTCOME_CACHE", {})
+    for delta in (0.1, 0.2):
+        protocol._x_outcomes(((0, 1),), delta)
+        protocol._x_outcomes(((2, 0),), delta)
+    assert sorted(protocol._X_OUTCOME_CACHE) == [(((0, 1),), 0.2), (((2, 0),), 0.2)]
+    monkeypatch.setattr(protocol, "_x_outcomes", lambda survivors, delta: [(1.0, 0, True)])
+    monkeypatch.setattr(protocol, "_LIVE_ROWS", {})
+    for delta in (0.1, 0.2, 0.3):
+        protocol._live_rows(TrialConfig(basis="x", delta=delta), table)
+    assert list(protocol._LIVE_ROWS) == ["x"]
+    assert protocol._LIVE_ROWS["x"].key[1] == 0.3
 
 
 def test_x_basis_smoke(table):
