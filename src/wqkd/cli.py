@@ -9,6 +9,7 @@ mismatch, 3 no positive key rate, 4 oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -42,7 +43,7 @@ _DEFAULTS = {
     "eta_d": 0.145,
     "y0": 6.02e-6,
     "q": 1.0,
-    "delta": 0.0,
+    "delta": None,  # X basis only; a Z-basis simulate rejects any value
     "dmin": 0.0,
     "dmax": 300.0,
     "dstep": 10.0,
@@ -69,6 +70,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
 def _build_parser() -> _Parser:
     p = _Parser(prog="wqkd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -316,6 +318,8 @@ def cmd_enumerate(opts: dict) -> int:
 
 
 def cmd_simulate(opts: dict) -> int:
+    if opts["delta"] is not None and opts["basis"] == "z":
+        raise ValueError("delta is the X-basis delay; it does not apply to --basis z")
     table = derive_detection_table()
     eta, y0 = opts["eta"], opts["y0"]
     cfg = TrialConfig(
@@ -325,7 +329,7 @@ def cmd_simulate(opts: dict) -> int:
         basis=opts["basis"],
         trials=opts["trials"],
         seed=opts["seed"],
-        delta=opts["delta"],
+        delta=0.0 if opts["delta"] is None else opts["delta"],
     )
     tally = run_trials(cfg, table)
     report = estimate(tally)

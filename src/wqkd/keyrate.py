@@ -13,13 +13,24 @@ fed Fractions and in floating point otherwise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import NoPositiveRate, ZeroGain
 
 Number = float | Fraction
+
+
+def left_sum(values: Iterable[Number]) -> Number:
+    """0 + v0 + v1 + ..., rounded term by term on every interpreter.
+
+    From Python 3.12 on, builtin ``sum`` compensates float round-off, which can
+    move the last bit of a float total.
+    """
+    return reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -107,11 +118,11 @@ class CaseBreakdown:
 
     @property
     def total_gain(self) -> Number:
-        return sum(self.gain)
+        return left_sum(self.gain)
 
     @property
     def total_error(self) -> Number:
-        return sum(self.error)
+        return left_sum(self.error)
 
 
 def transmittance(c: ChannelParams) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ from .analyzer import (
 )
 from .errors import InvalidLabel, NoAcceptedEvents
 from .fock import FockState, Mode, Monomial, monomial
-from .keyrate import CaseBreakdown
+from .keyrate import CaseBreakdown, left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
@@ -61,6 +61,11 @@ def slot_mask(mon: Iterable[Mode]) -> int:
     for m in mon:
         mask |= 1 << slot_index(m)
     return mask
+
+
+def _pattern_signature(table: DetectionTable) -> tuple[tuple[int, int], ...]:
+    """(label, slot mask) of every detection pattern, in table order."""
+    return tuple((label, slot_mask(p)) for label, pats in table.patterns.items() for p in pats)
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,14 @@ def _party_bit(bits: int, party: int) -> int:
     return (bits >> (3 - party)) & 1
 
 
+# (party, Z bit) of each surviving photon, per input class bits * 16 + survival subset
+_SURVIVORS = [
+    tuple((party, _party_bit(bits, party)) for party in range(4) if _party_bit(surv, party))
+    for bits in range(16)
+    for surv in range(16)
+]
+
+
 def _allowed_labels(bits: int, announcers: tuple[int, int]) -> tuple[int, ...]:
     ann = (_party_bit(bits, announcers[0]), _party_bit(bits, announcers[1]))
     if ann == (0, 0):
@@ -183,22 +196,105 @@ class EnumerationResult:
         return CaseBreakdown(tuple(self.gain_cases), tuple(self.error_cases))
 
 
+@dataclass(frozen=True, eq=False)
+class _ClickTerms:
+    """Photon click terms of one survivor configuration over one label group.
+
+    A term is a (label, pattern, photon outcome) whose outcome slot mask lies
+    inside the pattern; its missing count m is the number of pattern slots
+    that dark counts must fill.
+    """
+
+    k: int  # surviving photons
+    paper: Fraction  # summed probability of the terms with one photon per slot
+    coeffs: tuple[Fraction, ...]  # coeffs[m]: summed probability of the terms missing m
+    probs: np.ndarray  # float probability of each term, in walk order
+    missing: np.ndarray  # m of each term
+
+    def click(self, mode: str, powers: list, exact: bool) -> Fraction | float:
+        """Sum of probability * y0**m over the terms, given powers[m] = y0**m."""
+        if mode == "paper":  # photons land one per slot on a subset of the pattern
+            return self.paper * powers[4 - self.k]
+        # threshold semantics: any photon outcome inside the pattern counts;
+        # darks complete the unclicked pattern slots
+        if exact:
+            click = Fraction(0)
+            for c, power in zip(self.coeffs, powers):
+                click += c * power
+            return click
+        if not self.probs.size:
+            return Fraction(0)
+        # added strictly left to right in walk order, as the walk itself adds
+        return float(np.add.accumulate(self.probs * np.array(powers)[self.missing])[-1])
+
+
+# pattern signature -> {(survivors, labels): _ClickTerms}; one signature at a time
+_CLICK_TERMS: dict[tuple, dict] = {}
+
+
+def _click_terms(signature: tuple, survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
+    """Walk labels, then their patterns in table order, then photon outcomes."""
+    outcomes = _z_outcomes(survivors)
+    unit = math.lcm(*(p.denominator for _, p, _, _ in outcomes))  # exact sums in integers
+    rows = [
+        (mmask, 4 - bin(mmask).count("1"), free, p.numerator * (unit // p.denominator), float(p))
+        for _, p, mmask, free in outcomes
+    ]
+    paper = 0
+    coeffs = [0] * 5
+    probs, missing = [], []
+    for label in labels:
+        for pattern_label, pmask in signature:
+            if pattern_label != label:
+                continue
+            for mmask, m, free, units, p in rows:
+                if mmask & ~pmask:
+                    continue
+                if free:
+                    paper += units
+                coeffs[m] += units
+                probs.append(p)
+                missing.append(m)
+    return _ClickTerms(
+        len(survivors),
+        Fraction(paper, unit),
+        tuple(Fraction(c, unit) for c in coeffs),
+        np.array(probs, dtype=float),
+        np.array(missing, dtype=np.intp),
+    )
+
+
 def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> EnumerationResult:
     """Exact accepted-gain and error-gain, split by photon-survival case.
 
     Sums over the 16 equally likely Z-basis inputs, the 16 photon-survival
     subsets, the exact click distribution of the surviving photons, and the
     dark-count completions of each detection-table pattern.  Exact (Fraction)
-    when the channel parameters are Fractions.
+    when the channel parameters are Fractions.  The click terms of each
+    survivor configuration are cached per table pattern signature; a float y0
+    adds them in the order of the (label, pattern, outcome) walk, so float
+    results are the walk's to the last bit.
     """
     if cfg.basis != "z":
         raise ValueError("exact enumeration is defined for the Z basis")
     tab = table or derive_detection_table()
+    signature = _pattern_signature(tab)
+    cache = _CLICK_TERMS.get(signature)
+    if cache is None:
+        _CLICK_TERMS.clear()
+        cache = _CLICK_TERMS[signature] = {}
     y0 = cfg.y0
+    powers = [y0**m for m in range(5)]
+    exact_y0 = isinstance(y0, (int, Fraction))
     no_dark_rest = (1 - y0) ** 12
-    pattern_masks: dict[int, list[tuple[Monomial, int]]] = {
-        label: [(p, slot_mask(p)) for p in tab.patterns[label]] for label in tab.patterns
-    }
+    weights = []  # of the 16 photon-survival subsets
+    for surv in range(16):
+        weight = Fraction(1, 16)
+        for party in range(4):
+            eta = cfg.etas[party]
+            weight = weight * eta if _party_bit(surv, party) else weight * (1 - eta)
+        weights.append(weight)
+    clicks: dict[tuple, Fraction | float] = {}  # per (survivors, labels), at this y0
     gain = [Fraction(0)] * 5
     err = [Fraction(0)] * 5
     for bits in range(16):
@@ -207,48 +303,24 @@ def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> En
             continue
         ha, hb = cfg.key_holders
         is_error = _party_bit(bits, ha) == _party_bit(bits, hb)
-        for surv in range(16):
-            weight = Fraction(1, 16)
-            survivors = []
-            for party in range(4):
-                eta = cfg.etas[party]
-                if (surv >> (3 - party)) & 1:
-                    weight = weight * eta
-                    survivors.append((party, _party_bit(bits, party)))
-                else:
-                    weight = weight * (1 - eta)
+        for surv, weight in enumerate(weights):
             if weight == 0:
                 continue
+            survivors = _SURVIVORS[bits * 16 + surv]
             k = len(survivors)
-            outcomes = _z_outcomes(tuple(survivors))
-            if cfg.mode == "paper":
-                # photons must land one per slot on a subset of the pattern
-                probs = {mon: p for mon, p, _, free in outcomes if free}
-                click = Fraction(0)
-                for label in labels:
-                    for pat, _ in pattern_masks[label]:
-                        for sub in combinations(pat, k):
-                            p = probs.get(sub)
-                            if p:
-                                click += p
-                click = click * y0 ** (4 - k)
-            else:
-                # threshold semantics: any photon configuration inside the
-                # pattern counts; darks complete the unclicked pattern slots
-                click = Fraction(0)
-                for label in labels:
-                    for _, pmask in pattern_masks[label]:
-                        for mon, p, mmask, _ in outcomes:
-                            if mmask & ~pmask:
-                                continue
-                            missing = 4 - bin(mmask).count("1")
-                            click += p * y0**missing
+            key = (survivors, labels)
+            click = clicks.get(key)
+            if click is None:
+                terms = cache.get(key)
+                if terms is None:
+                    terms = cache[key] = _click_terms(signature, *key)
+                click = clicks[key] = terms.click(cfg.mode, powers, exact_y0)
             contrib = weight * click * no_dark_rest
             gain[k] += contrib
             if is_error:
                 err[k] += contrib
-    total_gain = sum(gain)
-    total_err = sum(err)
+    total_gain = left_sum(gain)
+    total_err = left_sum(err)
     e1 = None if total_gain == 0 else total_err / total_gain
     return EnumerationResult(cfg.mode, total_gain, e1, tuple(gain), tuple(err))
 
@@ -350,14 +422,14 @@ _LIVE_ROWS: dict[str, _LiveRows] = {}  # per basis; the X rows hold one delta at
 
 
 def _live_rows(cfg: TrialConfig, table: DetectionTable) -> _LiveRows:
-    patterns = tuple(sorted((slot_mask(p), label) for label, pats in table.patterns.items() for p in pats))
+    patterns = _pattern_signature(table)
     key = (patterns, cfg.delta if cfg.basis == "x" else None)
     rows = _LIVE_ROWS.get(cfg.basis)
     if rows is not None and rows.key == key:
         return rows
     label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
     live: set[int] = set()
-    for pmask, label in patterns:
+    for label, pmask in patterns:
         label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
         sub = pmask
         while True:  # every submask of the pattern, the empty one included
@@ -369,8 +441,7 @@ def _live_rows(cfg: TrialConfig, table: DetectionTable) -> _LiveRows:
     spans: dict[tuple, range] = {}  # survivor configuration -> its rows of outcomes
     of_class = []
     for cid in range(256):
-        bits, surv = divmod(cid, 16)
-        survivors = tuple((p, _party_bit(bits, p)) for p in range(4) if _party_bit(surv, p))
+        survivors = _SURVIVORS[cid]
         span = spans.get(survivors)
         if span is None:
             if cfg.basis == "z":

@@ -93,6 +93,20 @@ def test_enumerate_rejects_delta(capsys):
     assert "--delta" in captured.err
 
 
+def test_simulate_rejects_delta_for_z_basis(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 5\n")
+    for given in (["--delta", "5"], ["--config", str(cfg)], ["--delta", "0", "--basis", "z"]):
+        code, out, err = run(capsys, "simulate", "--trials", "1000", *given)
+        assert code == 1
+        assert out == ""
+        assert "X-basis delay" in err
+    # the delay still drives the X basis (0, to share the outcome table other tests build)
+    code, out, _ = run(capsys, "simulate", "--trials", "1000", "--basis", "x", "--delta", "0")
+    assert code == 0
+    assert "basis=x" in out
+
+
 # sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the
 # command still enumerated the chosen mode a second time
 _ENUMERATE_STDOUT_SHA256 = {
@@ -200,3 +214,22 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["keyrate", "--alpha", "abc"])
     assert exc.value.code == 1
+
+
+def test_main_reuses_one_parser(capsys):
+    cli._build_parser.cache_clear()
+    # the second call leaves out the flags the first one set: nothing may carry over
+    argvs = [["enumerate", "--mode", "physical", "--eta", "0.3", "--y0", "1e-3"], ["enumerate"], ["catalog"]]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in argvs]
+    assert reused == fresh
+    assert cli._build_parser.cache_info().currsize == 1
+    # a usage error still exits EXIT_USAGE with its message
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--mode", "loose"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'loose'" in capsys.readouterr().err
+    assert run(capsys, *argvs[0]) == fresh[0]

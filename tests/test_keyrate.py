@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from wqkd.errors import NoPositiveRate, ZeroGain
 from wqkd.keyrate import (
     AnalyzerConstants,
+    CaseBreakdown,
     ChannelParams,
     NoiseParams,
     RateParams,
@@ -16,6 +18,7 @@ from wqkd.keyrate import (
     h2,
     key_rate,
     key_rate_general,
+    left_sum,
     q1_general,
     q1_identical,
     secure_distance,
@@ -159,3 +162,16 @@ def test_secure_distance_no_positive_rate():
     # a dark-count-dominated detector never yields a positive rate
     with pytest.raises(NoPositiveRate):
         secure_distance(ChannelParams(0.2, 0.0, 1e-6), NoiseParams(1e-3), K)
+
+
+def test_totals_are_left_folds_on_every_interpreter():
+    # compensated summation (math.fsum, builtin sum from Python 3.12) keeps
+    # the four small terms; a left fold rounds each one away
+    values = (1.0, 1e-16, 1e-16, 1e-16, 1e-16)
+    assert math.fsum(values) == 1.0000000000000004
+    assert left_sum(values) == 1.0
+    cb = CaseBreakdown(values, values[::-1])
+    assert cb.total_gain == 1.0
+    assert cb.total_error == 1.0000000000000004  # the small terms add up first
+    exact = (Fraction(1, 3), Fraction(1, 6), 0, Fraction(1, 2), Fraction(0))
+    assert left_sum(exact) == 1 and type(left_sum(exact)) is Fraction

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from wqkd.keyrate import (
     Transmittances,
     case_breakdown,
     e1_identical,
+    left_sum,
     q1_identical,
 )
 from wqkd.protocol import (
@@ -340,3 +344,122 @@ def test_wilson_interval_sanity():
     assert lo == 0.0 and hi < 0.05
     lo, hi = wilson_interval(100, 100)
     assert lo > 0.95 and hi == 1.0
+
+
+def _walk_enumerate(cfg, tab):
+    """The enumerator's walk over patterns x photon outcomes, kept verbatim as
+    the reference for its cached click terms (the totals use the left fold)."""
+    from wqkd.protocol import EnumerationResult, _allowed_labels, _party_bit, _z_outcomes, slot_mask
+
+    y0 = cfg.y0
+    no_dark_rest = (1 - y0) ** 12
+    pattern_masks = {
+        label: [(p, slot_mask(p)) for p in tab.patterns[label]] for label in tab.patterns
+    }
+    gain = [Fraction(0)] * 5
+    err = [Fraction(0)] * 5
+    for bits in range(16):
+        labels = _allowed_labels(bits, cfg.announcers)
+        if not labels:
+            continue
+        ha, hb = cfg.key_holders
+        is_error = _party_bit(bits, ha) == _party_bit(bits, hb)
+        for surv in range(16):
+            weight = Fraction(1, 16)
+            survivors = []
+            for party in range(4):
+                eta = cfg.etas[party]
+                if (surv >> (3 - party)) & 1:
+                    weight = weight * eta
+                    survivors.append((party, _party_bit(bits, party)))
+                else:
+                    weight = weight * (1 - eta)
+            if weight == 0:
+                continue
+            k = len(survivors)
+            outcomes = _z_outcomes(tuple(survivors))
+            if cfg.mode == "paper":
+                probs = {mon: p for mon, p, _, free in outcomes if free}
+                click = Fraction(0)
+                for label in labels:
+                    for pat, _ in pattern_masks[label]:
+                        for sub in combinations(pat, k):
+                            p = probs.get(sub)
+                            if p:
+                                click += p
+                click = click * y0 ** (4 - k)
+            else:
+                click = Fraction(0)
+                for label in labels:
+                    for _, pmask in pattern_masks[label]:
+                        for mon, p, mmask, _ in outcomes:
+                            if mmask & ~pmask:
+                                continue
+                            missing = 4 - bin(mmask).count("1")
+                            click += p * y0**missing
+            contrib = weight * click * no_dark_rest
+            gain[k] += contrib
+            if is_error:
+                err[k] += contrib
+    total_gain = left_sum(gain)
+    total_err = left_sum(err)
+    e1 = None if total_gain == 0 else total_err / total_gain
+    return EnumerationResult(cfg.mode, total_gain, e1, tuple(gain), tuple(err))
+
+
+def _same_bits(res, ref):
+    def typed(r):
+        values = (r.q1, r.e1, *r.gain_cases, *r.error_cases)
+        return [(type(v), v) for v in values]
+
+    return typed(res) == typed(ref)
+
+
+def _seeded_configs(n, seed=2024):
+    rng = random.Random(seed)
+    pairs = list(combinations(range(4), 2))
+    for i in range(n):
+        if i % 4 == 0:  # boundary transmittances, as floats or ints
+            etas = tuple(rng.choice((0.0, 1.0, 0, 1, rng.uniform(0, 1))) for _ in range(4))
+        elif i % 2:
+            etas = (math.exp(rng.uniform(math.log(1e-3), 0)),) * 4
+        else:
+            etas = tuple(rng.uniform(0, 1) for _ in range(4))
+        y0 = 0.0 if i % 10 == 0 else 10 ** rng.uniform(-7, -1)
+        mode = rng.choice(("paper", "physical"))
+        yield TrialConfig(etas=etas, y0=y0, mode=mode, announcers=pairs[i % 6])
+
+
+def test_cached_click_terms_equal_the_walk_bit_for_bit(table):
+    configs = list(_seeded_configs(100))
+    exact = [
+        TrialConfig(etas=(Fraction(29, 2000),) * 4, y0=Fraction(602, 10**8), mode="physical"),
+        TrialConfig(etas=(Fraction(1, 10), Fraction(1, 5), Fraction(0), Fraction(1)), y0=Fraction(1, 10**4),
+                    mode="physical", announcers=(1, 3)),
+        TrialConfig(etas=(Fraction(2, 5),) * 4, y0=Fraction(1, 37), mode="paper", announcers=(2, 3)),
+        TrialConfig(etas=(Fraction(1, 3), 0.25, 1, 0), y0=0, mode="physical", announcers=(0, 2)),
+    ]
+    assert {c.announcers for c in configs} == set(combinations(range(4), 2))
+    assert any(0 in c.etas and 1 in c.etas for c in configs)
+    assert {c.mode for c in configs} == {"paper", "physical"}
+    for cfg in configs + exact:
+        assert _same_bits(exact_enumerate(cfg, table), _walk_enumerate(cfg, table)), cfg
+
+
+def test_click_terms_follow_table_content(table):
+    cfg = TrialConfig(etas=(0.3, 0.5, 0.7, 0.9), y0=1e-3, mode="physical")
+    full = exact_enumerate(cfg, table)
+    patterns = dict(table.patterns)
+    patterns[0] = patterns[0][1:]
+    smaller = dataclasses.replace(table, patterns=patterns)
+    res = exact_enumerate(cfg, smaller)
+    assert _same_bits(res, _walk_enumerate(cfg, smaller))
+    assert res.q1 < full.q1
+    paper = dataclasses.replace(cfg, mode="paper")
+    assert _same_bits(exact_enumerate(paper, smaller), _walk_enumerate(paper, smaller))
+    # back on the full table, then on a copy with the same patterns: one signature, shared
+    assert exact_enumerate(cfg, table) == full
+    terms = protocol._CLICK_TERMS[protocol._pattern_signature(table)]
+    assert exact_enumerate(cfg, dataclasses.replace(table)) == full
+    assert len(protocol._CLICK_TERMS) == 1
+    assert protocol._CLICK_TERMS[protocol._pattern_signature(table)] is terms
