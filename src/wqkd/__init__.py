@@ -40,7 +40,6 @@ from .protocol import (
     estimate,
     exact_enumerate,
     run_trials,
-    sift,
     survivor_coefficients,
 )
 from .qubits import (

@@ -127,10 +127,6 @@ class Amplitude:
             raise ValueError("half_power must be non-negative")
         return cls({phase: (p, q, 0, 0, half_power)})
 
-    @classmethod
-    def phase(cls, k: int) -> Amplitude:
-        return cls.gauss(1, phase=k)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -265,6 +261,11 @@ class Amplitude:
         return f"Amplitude<{self}>"
 
 
-ZERO = Amplitude.zero()
-ONE = Amplitude.one()
-I_UNIT = Amplitude.gauss(0, 1)
+def accumulate(terms: dict, key, amp: Amplitude) -> None:
+    """Add ``amp`` to ``terms[key]``; a key whose sum is zero is dropped."""
+    cur = terms.get(key)
+    total = amp if cur is None else cur + amp
+    if total.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = total

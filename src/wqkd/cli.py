@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -145,6 +146,9 @@ def _merge(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
+    for key in _FLOAT_KEYS:
+        if merged[key] is not None and not math.isfinite(merged[key]):
+            raise ValueError(f"{key} must be a finite number, got {merged[key]}")
     return merged
 
 
@@ -391,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merge(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # int(float("inf")) overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {

@@ -17,10 +17,6 @@ class DuplicateSpatialLabel(ValueError):
     """Two qubits were assigned the same spatial mode."""
 
 
-class InvalidLabel(ValueError):
-    """A W-state label outside the distinguishable set was announced."""
-
-
 class ZeroGain(ZeroDivisionError):
     """QBER requested where the gain is exactly zero."""
 

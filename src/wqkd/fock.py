@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .amplitude import Amplitude
+from .amplitude import Amplitude, accumulate
 from .errors import UnmappedMode
 
 SPATIAL_ORDER = "abcdefghjklmsuvw"
@@ -107,12 +107,7 @@ class FockState:
     def __add__(self, other: FockState) -> FockState:
         out = dict(self._terms)
         for m, a in other._terms.items():
-            cur = out.get(m)
-            na = a if cur is None else cur + a
-            if na.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = na
+            accumulate(out, m, a)
         return FockState.__new_canonical(out)
 
     def __sub__(self, other: FockState) -> FockState:
@@ -132,14 +127,7 @@ class FockState:
         out: dict[Monomial, Amplitude] = {}
         for m1, a1 in self._terms.items():
             for m2, a2 in other._terms.items():
-                m = monomial(*m1, *m2)
-                a = a1 * a2
-                cur = out.get(m)
-                na = a if cur is None else cur + a
-                if na.is_zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = na
+                accumulate(out, monomial(*m1, *m2), a1 * a2)
         return FockState.__new_canonical(out)
 
     @staticmethod
@@ -260,14 +248,7 @@ class ModeMap:
             acc: dict[tuple[str, int], Amplitude] = {}
             for mid_sp, dt1, a1 in ent:
                 for out_sp, dt2, a2 in later.entries[mid_sp]:
-                    key = (out_sp, dt1 + dt2)
-                    cur = acc.get(key)
-                    a = a1 * a2
-                    na = a if cur is None else cur + a
-                    if na.is_zero:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = na
+                    accumulate(acc, (out_sp, dt1 + dt2), a1 * a2)
             out[sp] = tuple((k[0], k[1], a) for k, a in sorted(acc.items()))
         return ModeMap(out)
 

@@ -25,11 +25,12 @@ distinct positions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .analyzer import (
     derive_detection_table,
     w_analyzer,
 )
-from .errors import InvalidLabel, NoAcceptedEvents
+from .errors import NoAcceptedEvents
 from .fock import FockState, Mode, Monomial, monomial
 from .keyrate import CaseBreakdown, left_sum
 
@@ -92,6 +93,8 @@ class TrialConfig:
             raise ValueError(f"transmittances must lie in [0, 1], got {self.etas}")
         if not 0 <= self.y0 < 1:
             raise ValueError(f"dark-count probability y0 must lie in [0, 1), got {self.y0}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delay delta must be finite, got {self.delta}")
         if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
         if self.trials < 1:
@@ -103,41 +106,7 @@ class TrialConfig:
         return (rest[0], rest[1])
 
 
-@dataclass(frozen=True)
-class SiftRecord:
-    label: int
-    announcer_bits: tuple[int, int]
-    key_bits: tuple[int, int] | None
-    accepted: bool
-    error: bool | None
-
-
-def sift(label: int, bits: Sequence[int], roles: tuple[int, int] = (0, 1)) -> SiftRecord:
-    """Post-selection on the announced label and the announcers' classical bits.
-
-    Labels W4,0/W4,1 pair with announced "00", W4,c/W4,d with "11".  The two
-    key holders keep their bits with one flip applied to the second; an error
-    means the flipped bits disagree, i.e. the raw key-holder bits were equal.
-    """
-    if label not in DISTINGUISHABLE_LABELS:
-        raise InvalidLabel(f"label {label} is not announced by the analyzer")
-    ann = (bits[roles[0]], bits[roles[1]])
-    holders = [i for i in range(4) if i not in roles]
-    if label in (0, 1):
-        accepted = ann == (0, 0)
-    else:
-        accepted = ann == (1, 1)
-    if not accepted:
-        return SiftRecord(label, ann, None, False, None)
-    raw = (bits[holders[0]], bits[holders[1]])
-    key = (raw[0], 1 - raw[1])
-    return SiftRecord(label, ann, key, True, raw[0] == raw[1])
-
-
 # -- exact propagation of survivor configurations ----------------------------
-
-_Z_OUTCOME_CACHE: dict[tuple, list] = {}
-
 
 def _survivor_state(survivor_bits: tuple[tuple[int, int], ...]) -> FockState:
     """Propagated state of the surviving photons (Z basis, exact)."""
@@ -147,19 +116,15 @@ def _survivor_state(survivor_bits: tuple[tuple[int, int], ...]) -> FockState:
     return w_analyzer().propagate(FockState.from_monomial(modes))
 
 
-def _z_outcomes(survivor_bits: tuple[tuple[int, int], ...]) -> list[tuple[Monomial, Fraction, int, bool]]:
+@functools.cache  # the analyzer is fixed, so at most 81 survivor configurations
+def _z_outcomes(survivor_bits: tuple[tuple[int, int], ...]) -> tuple[tuple[Monomial, Fraction, int, bool], ...]:
     """All output monomials with exact probability, slot mask, bunching flag."""
-    cached = _Z_OUTCOME_CACHE.get(survivor_bits)
-    if cached is not None:
-        return cached
     state = _survivor_state(survivor_bits)
-    out = []
-    for mon, _ in state.terms():
-        prob = state.pattern_probability(mon)  # single phase power: exact
-        free = len(set(mon)) == len(mon)
-        out.append((mon, prob, slot_mask(mon), free))
-    _Z_OUTCOME_CACHE[survivor_bits] = out
-    return out
+    return tuple(
+        # single phase power: the probability is exact
+        (mon, state.pattern_probability(mon), slot_mask(mon), len(set(mon)) == len(mon))
+        for mon, _ in state.terms()
+    )
 
 
 def _party_bit(bits: int, party: int) -> int:
@@ -174,13 +139,22 @@ _SURVIVORS = [
 ]
 
 
-def _allowed_labels(bits: int, announcers: tuple[int, int]) -> tuple[int, ...]:
-    ann = (_party_bit(bits, announcers[0]), _party_bit(bits, announcers[1]))
-    if ann == (0, 0):
-        return (0, 1)
-    if ann == (1, 1):
-        return (12, 13)
-    return ()
+def _sift(bits: int, cfg: TrialConfig) -> tuple[tuple[int, ...], bool]:
+    """The labels that accept input ``bits`` and whether an accepted trial errs.
+
+    Z basis: announced "00" accepts W4,0/W4,1 and "11" accepts W4,c/W4,d.
+    X basis: announcers with different x bits accept either group.  The key
+    holders keep their bits with the second one flipped, so an error means
+    their raw bits are equal.
+    """
+    ra, rb = cfg.announcers
+    a, b = _party_bit(bits, ra), _party_bit(bits, rb)
+    if cfg.basis == "x":
+        labels = DISTINGUISHABLE_LABELS if a != b else ()
+    else:
+        labels = ((12, 13) if a else (0, 1)) if a == b else ()
+    ha, hb = cfg.key_holders
+    return labels, _party_bit(bits, ha) == _party_bit(bits, hb)
 
 
 @dataclass(frozen=True)
@@ -228,8 +202,10 @@ class _ClickTerms:
         return float(np.add.accumulate(self.probs * np.array(powers)[self.missing])[-1])
 
 
-# pattern signature -> {(survivors, labels): _ClickTerms}; one signature at a time
-_CLICK_TERMS: dict[tuple, dict] = {}
+@functools.lru_cache(maxsize=1)
+def _click_cache(signature: tuple) -> dict[tuple, _ClickTerms]:
+    """(survivors, labels) -> click terms over one pattern signature, filled lazily."""
+    return {}
 
 
 def _click_terms(signature: tuple, survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
@@ -279,10 +255,7 @@ def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> En
         raise ValueError("exact enumeration is defined for the Z basis")
     tab = table or derive_detection_table()
     signature = _pattern_signature(tab)
-    cache = _CLICK_TERMS.get(signature)
-    if cache is None:
-        _CLICK_TERMS.clear()
-        cache = _CLICK_TERMS[signature] = {}
+    cache = _click_cache(signature)  # hashes the signature once per call
     y0 = cfg.y0
     powers = [y0**m for m in range(5)]
     exact_y0 = isinstance(y0, (int, Fraction))
@@ -298,11 +271,9 @@ def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> En
     gain = [Fraction(0)] * 5
     err = [Fraction(0)] * 5
     for bits in range(16):
-        labels = _allowed_labels(bits, cfg.announcers)
+        labels, is_error = _sift(bits, cfg)
         if not labels:
             continue
-        ha, hb = cfg.key_holders
-        is_error = _party_bit(bits, ha) == _party_bit(bits, hb)
         for surv, weight in enumerate(weights):
             if weight == 0:
                 continue
@@ -371,16 +342,8 @@ class Tally:
         return None if self.accepted == 0 else self.errors / self.accepted
 
 
-_X_OUTCOME_CACHE: dict[tuple, list] = {}  # keyed by (survivors, delta); one delta at a time
-
-
 def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> list[tuple[float, int, bool]]:
-    key = (survivor_xbits, delta)
-    cached = _X_OUTCOME_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if _X_OUTCOME_CACHE and next(iter(_X_OUTCOME_CACHE))[1] != delta:
-        _X_OUTCOME_CACHE.clear()  # a delay sweep must not grow the cache
+    """Float probability, slot mask and bunching flag of each X-basis output."""
     state = FockState.vacuum()
     root = Amplitude.gauss(1, 0, 1)
     for party, xbit in survivor_xbits:
@@ -394,12 +357,10 @@ def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> li
         )
         state = state.tensor(photon)
     state = w_analyzer().propagate(state)
-    out = []
-    for mon, _ in state.terms():
-        p = float(state.pattern_probability(mon, delta))
-        out.append((p, slot_mask(mon), len(set(mon)) == len(mon)))
-    _X_OUTCOME_CACHE[key] = out
-    return out
+    return [
+        (float(state.pattern_probability(mon, delta)), slot_mask(mon), len(set(mon)) == len(mon))
+        for mon, _ in state.terms()
+    ]
 
 
 @dataclass(frozen=True)
@@ -410,7 +371,6 @@ class _LiveRows:
     Dark counts only add clicks, so no other outcome can ever be announced.
     """
 
-    key: tuple
     label_bit: np.ndarray  # click mask -> 1 << index of its label, 0 if no pattern
     cls: np.ndarray
     prob: np.ndarray  # outcome probability given the class
@@ -418,18 +378,12 @@ class _LiveRows:
     free: np.ndarray  # no slot holds two photons
 
 
-_LIVE_ROWS: dict[str, _LiveRows] = {}  # per basis; the X rows hold one delta at a time
-
-
-def _live_rows(cfg: TrialConfig, table: DetectionTable) -> _LiveRows:
-    patterns = _pattern_signature(table)
-    key = (patterns, cfg.delta if cfg.basis == "x" else None)
-    rows = _LIVE_ROWS.get(cfg.basis)
-    if rows is not None and rows.key == key:
-        return rows
+@functools.lru_cache(maxsize=2)  # the Z rows and one X delay
+def _live_rows(signature: tuple, delta: float | None) -> _LiveRows:
+    """Live rows over a pattern signature: Z basis for ``delta=None``, else X at that delay."""
     label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
     live: set[int] = set()
-    for label, pmask in patterns:
+    for label, pmask in signature:
         label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
         sub = pmask
         while True:  # every submask of the pattern, the empty one included
@@ -444,26 +398,23 @@ def _live_rows(cfg: TrialConfig, table: DetectionTable) -> _LiveRows:
         survivors = _SURVIVORS[cid]
         span = spans.get(survivors)
         if span is None:
-            if cfg.basis == "z":
+            if delta is None:
                 # dead outcomes are dropped before their Fractions are converted
                 new = [(float(p), m, f) for _, p, m, f in _z_outcomes(survivors) if m in live]
             else:
-                new = [o for o in _x_outcomes(survivors, cfg.delta) if o[1] in live]
+                new = [o for o in _x_outcomes(survivors, delta) if o[1] in live]
             span = spans[survivors] = range(len(outcomes), len(outcomes) + len(new))
             outcomes += new
         of_class.append(span)
     take = np.fromiter(chain.from_iterable(of_class), dtype=np.intp)
     prob, mask, free = (np.array(column)[take] for column in zip(*outcomes))
-    rows = _LiveRows(
-        key,
+    return _LiveRows(
         label_bit,
         np.repeat(np.arange(256), [len(span) for span in of_class]),
         prob,
         mask.astype(np.uint32),
         free,
     )
-    _LIVE_ROWS[cfg.basis] = rows
-    return rows
 
 
 _PHOTONS = np.array([bin(surv).count("1") for surv in range(16)], dtype=np.int64)
@@ -493,13 +444,9 @@ def _entries(cfg: TrialConfig, rows: _LiveRows) -> _Entries:
         weight *= np.where(_party_bit(subsets, party), float(eta), 1 - float(eta))
     accepts = np.zeros(16, dtype=np.int64)
     error = np.zeros(16, dtype=np.int64)
-    ha, hb = cfg.key_holders
     for bits in range(16):
-        labels = _allowed_labels(bits, cfg.announcers)
-        if cfg.basis == "x":  # announcers with different x bits, either label group
-            labels = () if labels else DISTINGUISHABLE_LABELS
+        labels, error[bits] = _sift(bits, cfg)
         accepts[bits] = sum(1 << _LABEL_TO_IDX[label] for label in labels)
-        error[bits] = _party_bit(bits, ha) == _party_bit(bits, hb)
     bits, surv = np.divmod(rows.cls, 16)
     prob = weight[surv] * rows.prob
     if cfg.mode == "paper":
@@ -525,7 +472,8 @@ def run_trials(cfg: TrialConfig, table: DetectionTable | None = None) -> Tally:
     counts into trials in entry order, live trials first.
     """
     tab = table or derive_detection_table()
-    rows = _live_rows(cfg, tab)
+    # a Z configuration carries delta 0.0, so the Z rows must not key on it
+    rows = _live_rows(_pattern_signature(tab), cfg.delta if cfg.basis == "x" else None)
     ent = _entries(cfg, rows)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
     index = np.arange(ent.prob.size, dtype=np.intp)

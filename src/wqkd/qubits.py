@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .amplitude import Amplitude
+from .amplitude import Amplitude, accumulate
 from .errors import DuplicateSpatialLabel, LengthMismatch
 from .fock import FockState, Mode, monomial
 
@@ -61,11 +61,7 @@ class QubitState:
             raise LengthMismatch("qubit counts differ")
         out = dict(self._amps)
         for b, a in other._amps.items():
-            na = out.get(b, Amplitude.zero()) + a
-            if na.is_zero:
-                out.pop(b, None)
-            else:
-                out[b] = na
+            accumulate(out, b, a)
         return QubitState(self.n, out)
 
     def __sub__(self, other: QubitState) -> QubitState:
@@ -139,12 +135,7 @@ class QubitState:
                     # Y|0> = i|1>,  Y|1> = -i|0>
                     na = na * (Amplitude.gauss(0, 1) if bit == 0 else Amplitude.gauss(0, -1))
                     nb ^= 1 << bitpos
-            cur = out.get(nb)
-            nv = na if cur is None else cur + na
-            if nv.is_zero:
-                out.pop(nb, None)
-            else:
-                out[nb] = nv
+            accumulate(out, nb, na)
         return QubitState(self.n, out)
 
     def __str__(self) -> str:
@@ -272,13 +263,7 @@ def entanglement_swap(label: int | str) -> tuple[QubitState, Fraction]:
         w_amp = target._amps.get(back)
         if w_amp is None:
             continue
-        add = w_amp.conjugate() * amp
-        cur = residual.get(front)
-        nv = add if cur is None else cur + add
-        if nv.is_zero:
-            residual.pop(front, None)
-        else:
-            residual[front] = nv
+        accumulate(residual, front, w_amp.conjugate() * amp)
     res = QubitState(4, residual)
     prob = res.norm_squared()
     return res.normalized(), prob

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wqkd.amplitude import Amplitude
+from wqkd.amplitude import Amplitude, accumulate
 from wqkd.errors import MixedPhaseWithoutDelta
 
 
@@ -26,6 +26,17 @@ def test_zero_and_one():
     assert Amplitude.zero().is_zero
     assert Amplitude.one() + Amplitude.zero() == Amplitude.one()
     assert (Amplitude.one() - Amplitude.one()).is_zero
+
+
+def test_accumulate_drops_zero_sums():
+    terms = {"other": Amplitude.one()}
+    accumulate(terms, "k", Amplitude.zero())
+    assert "k" not in terms
+    accumulate(terms, "k", Amplitude.one())
+    accumulate(terms, "k", Amplitude.one())
+    assert terms == {"other": Amplitude.one(), "k": Amplitude.gauss(2)}
+    accumulate(terms, "k", Amplitude.gauss(-2))
+    assert terms == {"other": Amplitude.one()}
 
 
 def test_ring_laws_randomized():

@@ -101,7 +101,7 @@ def test_simulate_rejects_delta_for_z_basis(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert "X-basis delay" in err
-    # the delay still drives the X basis (0, to share the outcome table other tests build)
+    # the delay still drives the X basis (0, to share the X rows other tests build)
     code, out, _ = run(capsys, "simulate", "--trials", "1000", "--basis", "x", "--delta", "0")
     assert code == 0
     assert "basis=x" in out
@@ -208,6 +208,42 @@ def test_config_file_values_checked_against_choices(capsys, tmp_path, command, l
     assert code == 1
     assert out == ""
     assert "must be one of" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("simulate", "--basis", "x", "--delta", "nan"), ""),
+        (("simulate", "--basis", "x", "--delta", "inf"), ""),
+        (("keyrate", "--alpha", "nan"), ""),
+        (("keyrate", "--dmin", "nan"), ""),
+        (("keyrate",), "dstep = inf"),
+        (("simulate", "--basis", "x"), "delta = -inf"),
+    ],
+    ids=["delta-nan", "delta-inf", "alpha-nan", "dmin-nan", "config-dstep-inf", "config-delta-inf"],
+)
+def test_non_finite_values_exit_1(capsys, tmp_path, argv, config):
+    # each of these once printed a tally from NaN probabilities, nan rows or an empty sweep
+    extra = ()
+    if config:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        extra = ("--config", str(path))
+    if argv[0] == "simulate":
+        extra += ("--trials", "1000")
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 1
+    assert out == ""
+    assert "must be a finite number" in err
+
+
+def test_config_file_infinite_count_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = inf\n")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot convert float infinity to integer\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from wqkd import protocol
-from wqkd.errors import InvalidLabel, NoAcceptedEvents
+from wqkd.errors import NoAcceptedEvents
 from wqkd.keyrate import (
     NoiseParams,
     Transmittances,
@@ -23,33 +24,35 @@ from wqkd.protocol import (
     estimate,
     exact_enumerate,
     run_trials,
-    sift,
     survivor_coefficients,
     wilson_interval,
 )
 
 
-def test_sift_accept_and_flip():
-    rec = sift(0, (0, 0, 0, 1))
-    assert rec.accepted and rec.error is False
-    assert rec.key_bits == (0, 0)  # second holder's bit flipped
-    rec = sift(0, (0, 0, 0, 0))
-    assert rec.accepted and rec.error is True
-    rec = sift(0, (0, 1, 0, 1))
-    assert not rec.accepted and rec.error is None
-    rec = sift(12, (1, 1, 1, 0))
-    assert rec.accepted and rec.error is False
-    rec = sift(12, (0, 0, 1, 0))
-    assert not rec.accepted
-    rec = sift(1, (0, 0, 1, 1), roles=(2, 3))
-    assert rec.accepted is False  # announcers c, d hold bits 1, 1 but label is 1
-    rec = sift(13, (0, 0, 1, 1), roles=(2, 3))
-    assert rec.accepted and rec.error is True  # key holders a, b both 0
-
-
-def test_sift_invalid_label():
-    with pytest.raises(InvalidLabel):
-        sift(2, (0, 0, 0, 0))
+@pytest.mark.parametrize(
+    "bits, announcers, basis, labels, error",
+    [
+        ("0001", (0, 1), "z", (0, 1), False),  # "00" announced; holder bits 0, 1 differ
+        ("0000", (0, 1), "z", (0, 1), True),  # holder bits equal: their flipped key bits disagree
+        ("1110", (0, 1), "z", (12, 13), False),  # "11" announced
+        ("0101", (0, 1), "z", (), False),  # "01": no label accepts
+        ("1000", (0, 1), "z", (), True),
+        ("0011", (2, 3), "z", (12, 13), True),  # announcers c, d hold 1, 1; key holders a, b both 0
+        ("1100", (2, 3), "z", (0, 1), True),
+        ("0110", (0, 3), "z", (0, 1), True),
+        ("0100", (0, 1), "x", (0, 1, 12, 13), True),  # different x bits accept either group
+        ("1001", (0, 1), "x", (0, 1, 12, 13), False),
+        ("1100", (0, 1), "x", (), True),  # equal x bits: none
+        ("0010", (1, 2), "x", (0, 1, 12, 13), True),
+    ],
+    ids=[
+        "z-00-kept", "z-00-error", "z-11-kept", "z-01-none", "z-10-none", "z-roles-cd-11",
+        "z-roles-cd-00", "z-roles-ad-00", "x-01", "x-10", "x-11-none", "x-roles-bc",
+    ],
+)
+def test_sift(bits, announcers, basis, labels, error):
+    cfg = TrialConfig(basis=basis, announcers=announcers)
+    assert protocol._sift(int(bits, 2), cfg) == (labels, error)
 
 
 def test_config_validation():
@@ -67,6 +70,9 @@ def test_config_validation():
     for y0 in (-0.1, 1.0, Fraction(-1, 10**6), math.nan):
         with pytest.raises(ValueError, match="y0"):
             TrialConfig(y0=y0)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta"):
+            TrialConfig(basis="x", delta=delta)
     # boundary values and exact fractions stay valid
     TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0))
     TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3))
@@ -257,7 +263,7 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
     # accepted pattern P containing its photon mask when darks fill P's other
     # slots and none of the 12 slots outside P fires
     cfg = TrialConfig(etas=etas, y0=y0, mode=mode)
-    ent = protocol._entries(cfg, protocol._live_rows(cfg, table))
+    ent = protocol._entries(cfg, protocol._live_rows(protocol._pattern_signature(table), None))
     photons_in = np.array([int(m).bit_count() for m in ent.mask])
     gain = err = 0.0
     for label, pats in table.patterns.items():
@@ -298,18 +304,45 @@ def test_mc_boundary_transmittances(table, eta, y0):
     assert tally.per_case_accepted[4 * eta] == tally.accepted  # no photon or all four survive
 
 
-def test_x_caches_hold_one_delay(table, monkeypatch):
-    monkeypatch.setattr(protocol, "_X_OUTCOME_CACHE", {})
-    for delta in (0.1, 0.2):
-        protocol._x_outcomes(((0, 1),), delta)
-        protocol._x_outcomes(((2, 0),), delta)
-    assert sorted(protocol._X_OUTCOME_CACHE) == [(((0, 1),), 0.2), (((2, 0),), 0.2)]
+@pytest.fixture
+def cleared_rows():
+    protocol._live_rows.cache_clear()
+    yield
+    protocol._live_rows.cache_clear()  # no test leaves its rows to the next
+
+
+def test_x_caches_hold_one_delay(table, monkeypatch, cleared_rows):
     monkeypatch.setattr(protocol, "_x_outcomes", lambda survivors, delta: [(1.0, 0, True)])
-    monkeypatch.setattr(protocol, "_LIVE_ROWS", {})
+    signature = protocol._pattern_signature(table)
+    z_rows = protocol._live_rows(signature, None)
     for delta in (0.1, 0.2, 0.3):
-        protocol._live_rows(TrialConfig(basis="x", delta=delta), table)
-    assert list(protocol._LIVE_ROWS) == ["x"]
-    assert protocol._LIVE_ROWS["x"].key[1] == 0.3
+        protocol._live_rows(signature, delta)  # a sweep: the oldest rows go first
+    assert protocol._live_rows.cache_info()[1:] == (4, 2, 2)  # misses, maxsize, currsize
+    protocol._live_rows(signature, 0.3)
+    assert protocol._live_rows.cache_info().hits == 1
+    assert protocol._live_rows(signature, None) is not z_rows  # evicted by the sweep, rebuilt
+    assert protocol._live_rows.cache_info().misses == 5
+
+
+def test_z_and_x_rows_never_share_a_key(table, monkeypatch):
+    # rows are rebuilt on every miss; the real delta-0 X outcomes are computed once
+    # here, and the sweep's other delay only has to push the Z rows out
+    real = functools.cache(protocol._x_outcomes)
+    monkeypatch.setattr(protocol, "_x_outcomes", lambda s, delta: real(s, delta) if delta == 0 else [(1.0, 0, True)])
+    z = TrialConfig(etas=(0.5,) * 4, y0=1e-3, trials=200_000, seed=17)
+    x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
+    assert z.delta == x.delta == 0.0
+    protocol._live_rows.cache_clear()
+    x_cold = run_trials(x, table)
+    protocol._live_rows.cache_clear()
+    z_tally = run_trials(z, table)
+    assert run_trials(x, table) == x_cold
+    assert protocol._live_rows.cache_info()[:2] == (0, 2)  # hits, misses: no X run got the Z rows
+    run_trials(dataclasses.replace(x, delta=0.3), table)
+    assert run_trials(z, table) == z_tally
+    # and back: the cache ends on real Z and delta-0 rows, as a run would leave it
+    assert run_trials(x, table) == x_cold
+    assert protocol._live_rows.cache_info().currsize == 2
 
 
 def test_x_basis_smoke(table):
@@ -349,7 +382,7 @@ def test_wilson_interval_sanity():
 def _walk_enumerate(cfg, tab):
     """The enumerator's walk over patterns x photon outcomes, kept verbatim as
     the reference for its cached click terms (the totals use the left fold)."""
-    from wqkd.protocol import EnumerationResult, _allowed_labels, _party_bit, _z_outcomes, slot_mask
+    from wqkd.protocol import EnumerationResult, _party_bit, _z_outcomes, slot_mask
 
     y0 = cfg.y0
     no_dark_rest = (1 - y0) ** 12
@@ -359,7 +392,8 @@ def _walk_enumerate(cfg, tab):
     gain = [Fraction(0)] * 5
     err = [Fraction(0)] * 5
     for bits in range(16):
-        labels = _allowed_labels(bits, cfg.announcers)
+        ann = (_party_bit(bits, cfg.announcers[0]), _party_bit(bits, cfg.announcers[1]))
+        labels = {(0, 0): (0, 1), (1, 1): (12, 13)}.get(ann)
         if not labels:
             continue
         ha, hb = cfg.key_holders
@@ -448,6 +482,7 @@ def test_cached_click_terms_equal_the_walk_bit_for_bit(table):
 
 def test_click_terms_follow_table_content(table):
     cfg = TrialConfig(etas=(0.3, 0.5, 0.7, 0.9), y0=1e-3, mode="physical")
+    protocol._click_cache.cache_clear()
     full = exact_enumerate(cfg, table)
     patterns = dict(table.patterns)
     patterns[0] = patterns[0][1:]
@@ -457,9 +492,11 @@ def test_click_terms_follow_table_content(table):
     assert res.q1 < full.q1
     paper = dataclasses.replace(cfg, mode="paper")
     assert _same_bits(exact_enumerate(paper, smaller), _walk_enumerate(paper, smaller))
+    # two signatures so far, one call each; the paper call on the smaller table hit
+    assert protocol._click_cache.cache_info()[:2] == (1, 2)  # hits, misses
     # back on the full table, then on a copy with the same patterns: one signature, shared
     assert exact_enumerate(cfg, table) == full
-    terms = protocol._CLICK_TERMS[protocol._pattern_signature(table)]
+    terms = protocol._click_cache(protocol._pattern_signature(table))
     assert exact_enumerate(cfg, dataclasses.replace(table)) == full
-    assert len(protocol._CLICK_TERMS) == 1
-    assert protocol._CLICK_TERMS[protocol._pattern_signature(table)] is terms
+    assert protocol._click_cache.cache_info()[:] == (3, 3, 1, 1)  # hits, misses, maxsize, currsize
+    assert protocol._click_cache(protocol._pattern_signature(table)) is terms
