@@ -169,21 +169,27 @@ def propagate_w_state(label: int, network: OpticalNetwork | None = None) -> Fock
     return net.propagate(encode_fock(w_state(label), INPUT_MODES))
 
 
-_TABLE_MEMO: DetectionTable | None = None
-
-
 def derive_detection_table(network: OpticalNetwork | None = None, cache: bool = True) -> DetectionTable:
     """Propagate all 16 catalog states and keep patterns unique to one state.
 
     Coincidences are monomials with exactly one photon in each of s, u, v, w;
     a pattern is unique when its symbolic amplitude is nonzero for exactly one
     of the 16 inputs.  The default-network result is memoized; pass
-    cache=False to force a fresh derivation.
+    cache=False to force a fresh derivation, which then becomes the memo.
     """
-    global _TABLE_MEMO
-    if network is None and cache and _TABLE_MEMO is not None:
-        return _TABLE_MEMO
-    net = network or w_analyzer()
+    if network is not None:
+        return _derive_table(network)
+    if not cache:
+        _default_table.cache_clear()
+    return _default_table()
+
+
+@functools.cache
+def _default_table() -> DetectionTable:
+    return _derive_table(w_analyzer())
+
+
+def _derive_table(net: OpticalNetwork) -> DetectionTable:
     outputs = {label: propagate_w_state(label, net) for label in range(16)}
     support: dict[int, set[Monomial]] = {}
     for label, state in outputs.items():
@@ -203,10 +209,7 @@ def derive_detection_table(network: OpticalNetwork | None = None, cache: bool = 
         per_pattern[label] = tuple(outputs[label].pattern_probability(m) for m in unique)
         probs[label] = sum(per_pattern[label], Fraction(0))
     overall = sum(probs.values(), Fraction(0)) / 16
-    result = DetectionTable(patterns, per_pattern, probs, overall)
-    if network is None:
-        _TABLE_MEMO = result
-    return result
+    return DetectionTable(patterns, per_pattern, probs, overall)
 
 
 def bell_success_rates(delta_zero: bool = True) -> dict[str, Fraction]:

@@ -194,14 +194,14 @@ def _load_golden_rows(path: str) -> list[tuple[str, str, str]]:
 
 
 def cmd_derive_table(opts: dict) -> int:
+    if opts["golden"]:  # read first: a bad golden file prints no table
+        golden_rows = _load_golden_rows(opts["golden"])
+    else:
+        golden_rows = [(s, p, f"{float(pr):.10f}") for s, p, pr in reference_table().rows()]
     table = derive_detection_table()
     fmt = opts["format"] or "text"
     _emit("\n".join(_table_lines(table, fmt)) + "\n", opts["out"])
     derived_rows = [(s, p, f"{float(pr):.10f}") for s, p, pr in table.rows()]
-    if opts["golden"]:
-        golden_rows = _load_golden_rows(opts["golden"])
-    else:
-        golden_rows = [(s, p, f"{float(pr):.10f}") for s, p, pr in reference_table().rows()]
     if derived_rows == golden_rows:
         print(f"derived table matches golden ({len(derived_rows)} rows)", file=sys.stderr)
         return EXIT_OK
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](opts)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing --golden or --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .amplitude import Amplitude
+from .amplitude import Amplitude, accumulate
 from .analyzer import (
     DISTINGUISHABLE_LABELS,
     INPUT_MODES,
@@ -44,8 +44,8 @@ from .analyzer import (
     w_analyzer,
 )
 from .errors import NoAcceptedEvents
-from .fock import FockState, Mode, Monomial, monomial
-from .keyrate import CaseBreakdown, left_sum
+from .fock import FockState, Mode, ModeMap, Monomial
+from .keyrate import left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
@@ -164,10 +164,6 @@ class EnumerationResult:
     e1: float | Fraction | None
     gain_cases: tuple
     error_cases: tuple
-
-    @property
-    def breakdown(self) -> CaseBreakdown:
-        return CaseBreakdown(tuple(self.gain_cases), tuple(self.error_cases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,21 +338,32 @@ class Tally:
         return None if self.accepted == 0 else self.errors / self.accepted
 
 
-def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> list[tuple[float, int, bool]]:
-    """Float probability, slot mask and bunching flag of each X-basis output."""
-    state = FockState.vacuum()
+def _x_state(survivor_xbits: tuple[tuple[int, int], ...]) -> FockState:
+    """Propagated state of the surviving X-basis photons (exact, symbolic in phi).
+
+    An X photon (t0 +- t1)/sqrt2 maps to the signed sum of its two time-bin
+    images under the composed analyzer map.  The analyzer is linear, so the
+    survivors' output is their one monomial propagated through these images,
+    not a tensored 2^k-term superposition.
+    """
     root = Amplitude.gauss(1, 0, 1)
+    composed = w_analyzer().composed_map()
+    images = {}
     for party, xbit in survivor_xbits:
         sp = INPUT_MODES[party]
-        sign = -1 if xbit else 1
-        photon = FockState(
-            {
-                (Mode(sp, 0),): root,
-                (Mode(sp, 1),): Amplitude.gauss(sign, 0, 1),
-            }
-        )
-        state = state.tensor(photon)
-    state = w_analyzer().propagate(state)
+        signed = Amplitude.gauss(-1 if xbit else 1, 0, 1)
+        image: dict[tuple[str, int], Amplitude] = {}
+        for out, dt, a in composed.entries[sp]:
+            accumulate(image, (out, dt), a * root)
+            accumulate(image, (out, dt + 1), a * signed)
+        images[sp] = tuple((out, dt, a) for (out, dt), a in image.items())
+    photons = FockState.from_monomial(Mode(INPUT_MODES[party], 0) for party, _ in survivor_xbits)
+    return photons.apply_mode_map(ModeMap(images))
+
+
+def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> list[tuple[float, int, bool]]:
+    """Float probability, slot mask and bunching flag of each X-basis output."""
+    state = _x_state(survivor_xbits)
     return [
         (float(state.pattern_probability(mon, delta)), slot_mask(mon), len(set(mon)) == len(mon))
         for mon, _ in state.terms()

@@ -1,7 +1,10 @@
 import pytest
 
-from wqkd.analyzer import derive_detection_table
+from wqkd.amplitude import Amplitude
+from wqkd.analyzer import INPUT_MODES, derive_detection_table, w_analyzer
+from wqkd.fock import FockState, Mode
 from wqkd.keyrate import AnalyzerConstants
+from wqkd.protocol import slot_mask
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +15,30 @@ def table():
 @pytest.fixture(scope="session")
 def constants(table):
     return AnalyzerConstants.from_table(table)
+
+
+def _x_superposition_outcomes(survivor_xbits, delta, propagate=None):
+    """The X outcome oracle: tensor each photon's (t0 +- t1)/sqrt2 into one
+    2^k-term input state, propagate it, and evaluate every output at delta."""
+    state = FockState.vacuum()
+    root = Amplitude.gauss(1, 0, 1)
+    for party, xbit in survivor_xbits:
+        sp = INPUT_MODES[party]
+        sign = -1 if xbit else 1
+        photon = FockState(
+            {
+                (Mode(sp, 0),): root,
+                (Mode(sp, 1),): Amplitude.gauss(sign, 0, 1),
+            }
+        )
+        state = state.tensor(photon)
+    state = (propagate or w_analyzer().propagate)(state)
+    return [
+        (float(state.pattern_probability(mon, delta)), slot_mask(mon), len(set(mon)) == len(mon))
+        for mon, _ in state.terms()
+    ]
+
+
+@pytest.fixture(scope="session")
+def x_superposition_outcomes():
+    return _x_superposition_outcomes

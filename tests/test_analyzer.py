@@ -12,6 +12,7 @@ from wqkd.analyzer import (
     bell_analyzer,
     bell_success_rates,
     click_distribution,
+    derive_detection_table,
     interferometer_map,
     parse_pattern,
     propagate_w_state,
@@ -62,26 +63,31 @@ def _staged_propagate(net, state):
     return state
 
 
-def test_composed_propagation_equals_staged_oracle(monkeypatch):
+def test_composed_propagation_equals_staged_oracle(monkeypatch, x_superposition_outcomes):
     net = w_analyzer()
     for label in range(16):
         state = encode_fock(w_state(label), INPUT_MODES)
         assert net.propagate(state) == _staged_propagate(net, state), label
     # one survivor configuration per photon number; the X outcomes are
-    # floats evaluated at a delay and must agree bit for bit
+    # floats evaluated at a delay and must agree bit for bit with the
+    # superposition oracle propagated stage by stage
     z_configs = (((0, 1),), ((0, 0), (2, 1)), ((0, 1), (1, 0), (3, 1)), ((0, 0), (1, 1), (2, 0), (3, 1)))
     x_configs = (((1, 1),), ((0, 1), (1, 0)), ((0, 0), (1, 0), (2, 0)))
     delta = math.pi / 8
+    staged_x = [x_superposition_outcomes(c, delta, lambda s: _staged_propagate(net, s)) for c in x_configs]
+    assert [protocol._x_outcomes(c, delta) for c in x_configs] == staged_x
 
-    def outcomes(z_outcomes):
-        return (
-            [z_outcomes(c) for c in z_configs],
-            [protocol._x_outcomes(c, delta) for c in x_configs],
-        )
-
-    composed = outcomes(protocol._z_outcomes)
+    composed_z = [protocol._z_outcomes(c) for c in z_configs]
     monkeypatch.setattr(OpticalNetwork, "propagate", _staged_propagate)
-    assert outcomes(protocol._z_outcomes.__wrapped__) == composed  # past the cache
+    assert [protocol._z_outcomes.__wrapped__(c) for c in z_configs] == composed_z  # past the cache
+
+
+def test_default_table_is_memoized_until_a_fresh_derivation():
+    memo = derive_detection_table()
+    assert derive_detection_table() is memo
+    fresh = derive_detection_table(cache=False)
+    assert fresh is not memo and fresh == memo
+    assert derive_detection_table() is fresh  # the fresh derivation is the memo now
 
 
 def test_isometry_on_randomized_states():

@@ -47,6 +47,22 @@ def test_derive_table_tampered_golden(capsys, tmp_path):
     assert "only in golden" in err and "only in derived" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive-table", "--golden", "{tmp}/missing.csv"),
+        ("catalog", "--out", "{tmp}/missing/dir/f.txt"),
+    ],
+    ids=["derive-table-golden", "catalog-out"],
+)
+def test_missing_path_exits_1_with_one_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err
+
+
 def test_keyrate_command(capsys, tmp_path):
     out_file = tmp_path / "rates.csv"
     code, _, _ = run(

@@ -10,6 +10,7 @@ import pytest
 
 from wqkd import protocol
 from wqkd.errors import NoAcceptedEvents
+from wqkd.fock import multiplicity_factor
 from wqkd.keyrate import (
     NoiseParams,
     Transmittances,
@@ -353,6 +354,83 @@ def test_x_basis_smoke(table):
     assert "x basis" in rep.note
     again = run_trials(cfg, table)
     assert again == tally
+
+
+def test_x_outcomes_equal_superposition_reference(x_superposition_outcomes):
+    # every survivor configuration of up to three photons, plus one of four
+    configs = sorted({c for c in protocol._SURVIVORS if len(c) <= 3})
+    configs.append(((0, 1), (1, 0), (2, 0), (3, 1)))
+    delta = math.pi / 8
+    for c in configs:
+        assert protocol._x_outcomes(c, delta) == x_superposition_outcomes(c, delta), c
+
+
+@functools.cache
+def _x_probabilities_at_zero_delay(survivors):
+    """Exact (monomial, probability) of each X output at delta = 0 (phi -> 1)."""
+    probs = [
+        (mon, amp.at_phase_one().abs2() * multiplicity_factor(mon))
+        for mon, amp in protocol._x_state(survivors).terms()
+    ]
+    assert left_sum(p for _, p in probs) == 1
+    return probs
+
+
+def _exact_x_without_darks(cfg, table):
+    """Exact X-basis Q1 and e1 at delta = 0 and y0 = 0.
+
+    Without dark counts a trial is announced only when the photons' click
+    mask equals a detection pattern.  The X sift rule is written out here:
+    the announcers' x bits differ, and the trial errs when the key holders'
+    x bits are equal.
+    """
+    assert cfg.delta == 0 and cfg.y0 == 0
+    patterns = {protocol.slot_mask(p) for pats in table.patterns.values() for p in pats}
+    ra, rb = cfg.announcers
+    ha, hb = cfg.key_holders
+    gain = err = Fraction(0)
+    for bits in range(16):
+        x = [(bits >> (3 - party)) & 1 for party in range(4)]
+        if x[ra] == x[rb]:
+            continue
+        for surv in range(16):
+            weight = Fraction(1, 16)
+            survivors = []
+            for party, eta in enumerate(cfg.etas):
+                if (surv >> (3 - party)) & 1:
+                    weight *= eta
+                    survivors.append((party, x[party]))
+                else:
+                    weight *= 1 - eta
+            for mon, p in _x_probabilities_at_zero_delay(tuple(survivors)):
+                if protocol.slot_mask(mon) not in patterns:
+                    continue
+                if cfg.mode == "paper" and len(set(mon)) != len(mon):
+                    continue
+                gain += weight * p
+                if x[ha] == x[hb]:
+                    err += weight * p
+    return gain, err / gain
+
+
+@pytest.mark.parametrize(
+    "etas, mode, announcers, seed, q1_exact",
+    [
+        ((Fraction(1, 2),) * 4, "paper", (0, 1), 11, Fraction(3, 16384)),
+        (
+            (Fraction(9, 10), Fraction(4, 5), Fraction(7, 10), Fraction(3, 5)),
+            "physical", (1, 3), 12, Fraction(567, 640000),
+        ),
+    ],
+)
+def test_x_basis_monte_carlo_matches_exact_oracle(table, etas, mode, announcers, seed, q1_exact):
+    cfg = TrialConfig(etas=etas, y0=0, mode=mode, basis="x", announcers=announcers, trials=2_000_000, seed=seed)
+    q1, e1 = _exact_x_without_darks(cfg, table)
+    assert (q1, e1) == (q1_exact, Fraction(2, 3))
+    tally = run_trials(cfg, table)
+    q1, e1 = float(q1), float(e1)
+    assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
+    assert abs(tally.e1_hat - e1) <= 3 * math.sqrt(e1 * (1 - e1) / tally.accepted)
 
 
 def test_estimate_edges():
