@@ -23,11 +23,9 @@ from .keyrate import (
     Transmittances,
     case_breakdown,
     e1_identical,
-    error_gain_general,
     h2,
     key_rate,
     key_rate_general,
-    q1_general,
     q1_identical,
     secure_distance,
     sweep,
@@ -43,7 +41,6 @@ from .protocol import (
     survivor_coefficients,
 )
 from .qubits import (
-    PauliString,
     QubitState,
     bell_state,
     encode_fock,

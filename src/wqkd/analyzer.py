@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .amplitude import Amplitude
 from .fock import FockState, Mode, ModeMap, Monomial, monomial, multiplicity_factor
@@ -140,13 +140,6 @@ class DetectionTable:
     success_probability: Mapping[int, Fraction]
     overall: Fraction
 
-    def classify(self, observed: Iterable[Mode]) -> int | None:
-        mon = monomial(*observed)
-        for label, pats in self.patterns.items():
-            if mon in pats:
-                return label
-        return None
-
     def rows(self) -> list[tuple[str, str, Fraction]]:
         out = []
         for label in sorted(self.patterns):
@@ -164,21 +157,18 @@ def parse_pattern(text: str) -> Monomial:
     return monomial(*modes)
 
 
-def propagate_w_state(label: int, network: OpticalNetwork | None = None) -> FockState:
-    net = network or w_analyzer()
-    return net.propagate(encode_fock(w_state(label), INPUT_MODES))
+def propagate_w_state(label: int) -> FockState:
+    return w_analyzer().propagate(encode_fock(w_state(label), INPUT_MODES))
 
 
-def derive_detection_table(network: OpticalNetwork | None = None, cache: bool = True) -> DetectionTable:
+def derive_detection_table(cache: bool = True) -> DetectionTable:
     """Propagate all 16 catalog states and keep patterns unique to one state.
 
     Coincidences are monomials with exactly one photon in each of s, u, v, w;
     a pattern is unique when its symbolic amplitude is nonzero for exactly one
-    of the 16 inputs.  The default-network result is memoized; pass
-    cache=False to force a fresh derivation, which then becomes the memo.
+    of the 16 inputs.  The result is memoized; pass cache=False to force a
+    fresh derivation, which then becomes the memo.
     """
-    if network is not None:
-        return _derive_table(network)
     if not cache:
         _default_table.cache_clear()
     return _default_table()
@@ -186,11 +176,11 @@ def derive_detection_table(network: OpticalNetwork | None = None, cache: bool = 
 
 @functools.cache
 def _default_table() -> DetectionTable:
-    return _derive_table(w_analyzer())
+    return _derive_table()
 
 
-def _derive_table(net: OpticalNetwork) -> DetectionTable:
-    outputs = {label: propagate_w_state(label, net) for label in range(16)}
+def _derive_table() -> DetectionTable:
+    outputs = {label: propagate_w_state(label) for label in range(16)}
     support: dict[int, set[Monomial]] = {}
     for label, state in outputs.items():
         support[label] = {mon for mon, _ in state.terms() if _is_coincidence(mon)}

@@ -23,7 +23,3 @@ class ZeroGain(ZeroDivisionError):
 
 class NoPositiveRate(ValueError):
     """The key rate is non-positive already at zero distance."""
-
-
-class NoAcceptedEvents(ValueError):
-    """An error-rate estimate was requested from a tally with no accepted events."""

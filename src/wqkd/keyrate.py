@@ -177,14 +177,6 @@ def case_breakdown(t: Transmittances, n: NoiseParams, k: AnalyzerConstants) -> C
     return CaseBreakdown((g1, g2, g3, g4, g5), (r1, r2, r3, r4, r5))
 
 
-def q1_general(t: Transmittances, n: NoiseParams, k: AnalyzerConstants) -> Number:
-    return case_breakdown(t, n, k).total_gain
-
-
-def error_gain_general(t: Transmittances, n: NoiseParams, k: AnalyzerConstants) -> Number:
-    return case_breakdown(t, n, k).total_error
-
-
 def q1_identical(eta: Number, n: NoiseParams, k: AnalyzerConstants) -> Number:
     """Equal-channel gain closed form."""
     y0 = n.y0

@@ -43,7 +43,6 @@ from .analyzer import (
     derive_detection_table,
     w_analyzer,
 )
-from .errors import NoAcceptedEvents
 from .fock import FockState, Mode, ModeMap, Monomial
 from .keyrate import left_sum
 
@@ -108,23 +107,47 @@ class TrialConfig:
 
 # -- exact propagation of survivor configurations ----------------------------
 
-def _survivor_state(survivor_bits: tuple[tuple[int, int], ...]) -> FockState:
-    """Propagated state of the surviving photons (Z basis, exact)."""
-    if not survivor_bits:
-        return FockState.vacuum()
-    modes = [Mode(INPUT_MODES[party], bit) for party, bit in survivor_bits]
-    return w_analyzer().propagate(FockState.from_monomial(modes))
+def _survivor_state(survivors: tuple[tuple[int, int], ...], basis: str) -> FockState:
+    """Propagated state of the surviving photons (exact, symbolic in phi).
+
+    A photon of party p with bit b enters as sum_t w_t a†[p, t]: w = {b: 1} in
+    the Z basis, {0: 1/sqrt2, 1: +-1/sqrt2} in X.  The analyzer is linear, so
+    its image is the same weighted sum of the composed map's image of p,
+    shifted by t bins, and the survivors' output is their one bin-0 monomial
+    propagated through these images.
+    """
+    root = Amplitude.gauss(1, 0, 1)
+    composed = w_analyzer().composed_map()
+    images = {}
+    for party, bit in survivors:
+        sp = INPUT_MODES[party]
+        weights = {bit: Amplitude.one()} if basis == "z" else {0: root, 1: -root if bit else root}
+        image: dict[tuple[str, int], Amplitude] = {}
+        for out, dt, a in composed.entries[sp]:
+            for t, w in weights.items():
+                accumulate(image, (out, dt + t), a * w)
+        images[sp] = tuple((out, dt, a) for (out, dt), a in image.items())
+    photons = FockState.from_monomial(Mode(INPUT_MODES[party], 0) for party, _ in survivors)
+    return photons.apply_mode_map(ModeMap(images))
 
 
-@functools.cache  # the analyzer is fixed, so at most 81 survivor configurations
-def _z_outcomes(survivor_bits: tuple[tuple[int, int], ...]) -> tuple[tuple[Monomial, Fraction, int, bool], ...]:
-    """All output monomials with exact probability, slot mask, bunching flag."""
-    state = _survivor_state(survivor_bits)
+def _outcomes(
+    survivors: tuple[tuple[int, int], ...], delta: float | None
+) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
+    """Monomial, probability, slot mask and bunching flag of each output.
+
+    Z basis for ``delta=None``: one phase power per amplitude, so every
+    probability is an exact Fraction.  X basis otherwise, evaluated at delta.
+    """
+    state = _survivor_state(survivors, "z" if delta is None else "x")
     return tuple(
-        # single phase power: the probability is exact
-        (mon, state.pattern_probability(mon), slot_mask(mon), len(set(mon)) == len(mon))
+        (mon, state.pattern_probability(mon, delta), slot_mask(mon), len(set(mon)) == len(mon))
         for mon, _ in state.terms()
     )
+
+
+# the analyzer is fixed, so the Z table holds at most 81 survivor configurations
+_z_outcomes = functools.cache(functools.partial(_outcomes, delta=None))
 
 
 def _party_bit(bits: int, party: int) -> int:
@@ -338,38 +361,6 @@ class Tally:
         return None if self.accepted == 0 else self.errors / self.accepted
 
 
-def _x_state(survivor_xbits: tuple[tuple[int, int], ...]) -> FockState:
-    """Propagated state of the surviving X-basis photons (exact, symbolic in phi).
-
-    An X photon (t0 +- t1)/sqrt2 maps to the signed sum of its two time-bin
-    images under the composed analyzer map.  The analyzer is linear, so the
-    survivors' output is their one monomial propagated through these images,
-    not a tensored 2^k-term superposition.
-    """
-    root = Amplitude.gauss(1, 0, 1)
-    composed = w_analyzer().composed_map()
-    images = {}
-    for party, xbit in survivor_xbits:
-        sp = INPUT_MODES[party]
-        signed = Amplitude.gauss(-1 if xbit else 1, 0, 1)
-        image: dict[tuple[str, int], Amplitude] = {}
-        for out, dt, a in composed.entries[sp]:
-            accumulate(image, (out, dt), a * root)
-            accumulate(image, (out, dt + 1), a * signed)
-        images[sp] = tuple((out, dt, a) for (out, dt), a in image.items())
-    photons = FockState.from_monomial(Mode(INPUT_MODES[party], 0) for party, _ in survivor_xbits)
-    return photons.apply_mode_map(ModeMap(images))
-
-
-def _x_outcomes(survivor_xbits: tuple[tuple[int, int], ...], delta: float) -> list[tuple[float, int, bool]]:
-    """Float probability, slot mask and bunching flag of each X-basis output."""
-    state = _x_state(survivor_xbits)
-    return [
-        (float(state.pattern_probability(mon, delta)), slot_mask(mon), len(set(mon)) == len(mon))
-        for mon, _ in state.terms()
-    ]
-
-
 @dataclass(frozen=True)
 class _LiveRows:
     """Live photon outcomes of the 256 input classes (bits * 16 + survival subset).
@@ -398,6 +389,8 @@ def _live_rows(signature: tuple, delta: float | None) -> _LiveRows:
             if not sub:
                 break
             sub = (sub - 1) & pmask
+    # the Z lists are cached; an X delay's lists are built once, here
+    outcomes_of = _z_outcomes if delta is None else functools.partial(_outcomes, delta=delta)
     outcomes: list[tuple[float, int, bool]] = []
     spans: dict[tuple, range] = {}  # survivor configuration -> its rows of outcomes
     of_class = []
@@ -405,11 +398,8 @@ def _live_rows(signature: tuple, delta: float | None) -> _LiveRows:
         survivors = _SURVIVORS[cid]
         span = spans.get(survivors)
         if span is None:
-            if delta is None:
-                # dead outcomes are dropped before their Fractions are converted
-                new = [(float(p), m, f) for _, p, m, f in _z_outcomes(survivors) if m in live]
-            else:
-                new = [o for o in _x_outcomes(survivors, delta) if o[1] in live]
+            # dead outcomes are dropped before their probabilities are converted
+            new = [(float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
             span = spans[survivors] = range(len(outcomes), len(outcomes) + len(new))
             outcomes += new
         of_class.append(span)
@@ -525,11 +515,6 @@ class EstimateReport:
     e1_ci: tuple[float, float] | None
     per_case_fraction: tuple[float, float, float, float, float]
     note: str = ""
-
-    def e1_or_raise(self) -> float:
-        if self.e1_hat is None:
-            raise NoAcceptedEvents("no accepted events: e1 undefined")
-        return self.e1_hat
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

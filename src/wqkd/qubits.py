@@ -113,15 +113,19 @@ class QubitState:
         scale = _two_pow_half(e) if e >= 0 else Amplitude.gauss(1, 0, -e)
         return self.scaled(scale)
 
-    def apply_pauli(self, p: "PauliString | str") -> QubitState:
-        if isinstance(p, str):
-            p = PauliString(p)
-        if p.length != self.n:
-            raise LengthMismatch(f"operator acts on {p.length} qubits, state has {self.n}")
+    def apply_pauli(self, ops: str) -> QubitState:
+        """Apply a product of I/X/Y/Z factors, one per qubit; a leading '-' negates it."""
+        ops = ops.strip()
+        negate = ops.startswith("-")
+        ops = ops.removeprefix("-")
+        if any(c not in "IXYZ" for c in ops):
+            raise ValueError(f"invalid Pauli string {ops!r}")
+        if len(ops) != self.n:
+            raise LengthMismatch(f"operator acts on {len(ops)} qubits, state has {self.n}")
         out: dict[int, Amplitude] = {}
         for b, a in self._amps.items():
-            nb, na = b, a if p.sign == 1 else a * Amplitude.gauss(-1)
-            for j, op in enumerate(p.ops):
+            nb, na = b, a * Amplitude.gauss(-1) if negate else a
+            for j, op in enumerate(ops):
                 bitpos = self.n - 1 - j
                 bit = (nb >> bitpos) & 1
                 if op == "I":
@@ -155,31 +159,6 @@ def _two_pow_half(e: int) -> Amplitude:
     if e % 2 == 0:
         return Amplitude.gauss(1 << (e // 2))
     return Amplitude({0: (0, 0, 1 << ((e - 1) // 2), 0, 0)})
-
-
-class PauliString:
-    """A product of single-qubit I/X/Y/Z factors with an optional global sign."""
-
-    __slots__ = ("ops", "sign")
-
-    def __init__(self, ops: str, sign: int = 1):
-        ops = ops.strip()
-        if ops.startswith("-"):
-            sign = -sign
-            ops = ops[1:]
-        if any(c not in "IXYZ" for c in ops):
-            raise ValueError(f"invalid Pauli string {ops!r}")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.ops = ops
-        self.sign = sign
-
-    @property
-    def length(self) -> int:
-        return len(self.ops)
-
-    def __str__(self) -> str:
-        return ("-" if self.sign < 0 else "") + self.ops
 
 
 def parse_w_label(label: int | str) -> int:
@@ -223,13 +202,6 @@ def expand_in_w_basis(state: QubitState) -> list[Amplitude]:
     if state.n != 4:
         raise LengthMismatch("the W basis spans four qubits")
     return [w_state(i).inner(state) for i in range(16)]
-
-
-def recombine_from_w_basis(coeffs: Iterable[Amplitude]) -> QubitState:
-    out = QubitState(4)
-    for i, c in enumerate(coeffs):
-        out = out + w_state(i).scaled(c)
-    return out
 
 
 def x_basis_expansion(state: QubitState) -> dict[str, Amplitude]:

@@ -33,10 +33,10 @@ def _x_superposition_outcomes(survivor_xbits, delta, propagate=None):
         )
         state = state.tensor(photon)
     state = (propagate or w_analyzer().propagate)(state)
-    return [
-        (float(state.pattern_probability(mon, delta)), slot_mask(mon), len(set(mon)) == len(mon))
+    return tuple(
+        (mon, state.pattern_probability(mon, delta), slot_mask(mon), len(set(mon)) == len(mon))
         for mon, _ in state.terms()
-    ]
+    )
 
 
 @pytest.fixture(scope="session")

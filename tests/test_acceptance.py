@@ -28,9 +28,7 @@ from wqkd.keyrate import (
     Transmittances,
     case_breakdown,
     e1_identical,
-    error_gain_general,
     key_rate,
-    q1_general,
     q1_identical,
     secure_distance,
     transmittance,
@@ -129,10 +127,11 @@ def test_criterion_6_formula_reduction(constants):
         y0 = 10 ** rng.uniform(-7, -3)
         n = NoiseParams(y0)
         t = Transmittances.equal(eta)
-        qg = q1_general(t, n, constants)
+        cb = case_breakdown(t, n, constants)
+        qg = cb.total_gain
         qi = q1_identical(eta, n, constants)
         worst = max(worst, abs(qg - qi) / qi)
-        eg = error_gain_general(t, n, constants) / qg
+        eg = cb.total_error / qg
         ei = e1_identical(eta, n, constants)
         if ei:
             worst = max(worst, abs(eg - ei) / ei)
@@ -143,8 +142,9 @@ def test_criterion_6_formula_reduction(constants):
         y0 = Fraction(rng.randrange(1, 10**4), 10**7)
         n = NoiseParams(y0)
         t = Transmittances.equal(eta)
-        assert q1_general(t, n, constants) == q1_identical(eta, n, constants)
-        assert error_gain_general(t, n, constants) / q1_general(t, n, constants) == e1_identical(eta, n, constants)
+        cb = case_breakdown(t, n, constants)
+        assert cb.total_gain == q1_identical(eta, n, constants)
+        assert cb.total_error / cb.total_gain == e1_identical(eta, n, constants)
     _ok("criterion 6", f"reduction identity at 1000 float points (worst {worst:.1e}) and 100 exact points")
 
 

@@ -8,7 +8,6 @@ from wqkd.analyzer import (
     INPUT_MODES,
     REFERENCE_OVERALL,
     REFERENCE_SUCCESS,
-    OpticalNetwork,
     bell_analyzer,
     bell_success_rates,
     click_distribution,
@@ -63,23 +62,23 @@ def _staged_propagate(net, state):
     return state
 
 
-def test_composed_propagation_equals_staged_oracle(monkeypatch, x_superposition_outcomes):
+def test_composed_propagation_equals_staged_oracle(x_superposition_outcomes):
     net = w_analyzer()
     for label in range(16):
         state = encode_fock(w_state(label), INPUT_MODES)
         assert net.propagate(state) == _staged_propagate(net, state), label
-    # one survivor configuration per photon number; the X outcomes are
-    # floats evaluated at a delay and must agree bit for bit with the
+    # one survivor configuration per photon number; the Z states are the
+    # survivors' own bins propagated stage by stage, and the X outcomes are
+    # floats evaluated at a delay that must agree bit for bit with the
     # superposition oracle propagated stage by stage
     z_configs = (((0, 1),), ((0, 0), (2, 1)), ((0, 1), (1, 0), (3, 1)), ((0, 0), (1, 1), (2, 0), (3, 1)))
+    for c in z_configs:
+        photons = FockState.from_monomial(Mode(INPUT_MODES[p], z) for p, z in c)
+        assert protocol._survivor_state(c, "z") == _staged_propagate(net, photons), c
     x_configs = (((1, 1),), ((0, 1), (1, 0)), ((0, 0), (1, 0), (2, 0)))
     delta = math.pi / 8
     staged_x = [x_superposition_outcomes(c, delta, lambda s: _staged_propagate(net, s)) for c in x_configs]
-    assert [protocol._x_outcomes(c, delta) for c in x_configs] == staged_x
-
-    composed_z = [protocol._z_outcomes(c) for c in z_configs]
-    monkeypatch.setattr(OpticalNetwork, "propagate", _staged_propagate)
-    assert [protocol._z_outcomes.__wrapped__(c) for c in z_configs] == composed_z  # past the cache
+    assert [protocol._outcomes(c, delta) for c in x_configs] == staged_x
 
 
 def test_default_table_is_memoized_until_a_fresh_derivation():
@@ -163,12 +162,6 @@ def test_uniform_weight_outputs_are_phase_pure(table):
         st = propagate_w_state(label)
         for _, amp in st.terms():
             assert len(amp.phase_powers()) == 1
-
-
-def test_classify(table):
-    assert table.classify(parse_pattern("s0u1v0w2")) == 0
-    assert table.classify(parse_pattern("s2u3v2w1")) == 13
-    assert table.classify(parse_pattern("s0u0v0w0")) is None
 
 
 def test_render_parse_roundtrip(table):

@@ -170,6 +170,39 @@ def test_simulate_deterministic(capsys, tmp_path):
     assert "Q1_exact" in f1.read_text()
 
 
+_PINNED_FLAGS = ("--mode", "physical", "--eta", "0.9", "--y0", "1e-4", "--trials", "1000000", "--seed", "7", "--format", "csv")
+
+
+@pytest.mark.parametrize(
+    "basis, expected",
+    [
+        (
+            ("--basis", "z"),
+            (
+                '# wqkd simulate mode=physical basis=z eta=0.9 y0=0.0001 trials=1000000 seed=7\n'
+                'mode,basis,trials,seed,announced,accepted,errors,Q1_hat,Q1_lo,Q1_hi,e1_hat,e1_lo,e1_hi,Q1_exact,e1_exact,case1_frac,case2_frac,case3_frac,case4_frac,case5_frac\n'
+                'physical,z,1000000,7,5197,2607,0,2.60700000000e-03,2.50894977853e-03,2.70887163625e-03,0.00000000000e+00,0.00000000000e+00,1.47134894297e-03,2.56657408999e-03,1.08100935107e-03,0.000000,0.000000,0.000000,0.001151,0.998849\n'
+            ),
+        ),
+        (
+            ("--basis", "x", "--delta", "0.3927"),
+            (
+                '# wqkd simulate mode=physical basis=x eta=0.9 y0=0.0001 trials=1000000 seed=7\n'
+                'mode,basis,trials,seed,announced,accepted,errors,Q1_hat,Q1_lo,Q1_hi,e1_hat,e1_lo,e1_hi,Q1_exact,e1_exact,case1_frac,case2_frac,case3_frac,case4_frac,case5_frac\n'
+                'physical,x,1000000,7,5179,1951,1330,1.95100000000e-03,1.86640487095e-03,2.03942158380e-03,6.81701691440e-01,6.60692178984e-01,7.01997079933e-01,,,0.000000,0.000000,0.000000,0.001538,0.998462\n'
+                "# note: x basis: 'errors' counts equal key-holder x bits\n"
+            ),
+        ),
+    ],
+    ids=["z", "x"],
+)
+def test_simulate_stdout_is_pinned(capsys, basis, expected):
+    # the tallies, intervals and exact values of two fixed runs, byte for byte
+    code, out, err = run(capsys, "simulate", *basis, *_PINNED_FLAGS)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

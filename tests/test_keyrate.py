@@ -14,12 +14,10 @@ from wqkd.keyrate import (
     Transmittances,
     case_breakdown,
     e1_identical,
-    error_gain_general,
     h2,
     key_rate,
     key_rate_general,
     left_sum,
-    q1_general,
     q1_identical,
     secure_distance,
     sweep,
@@ -97,9 +95,10 @@ def test_reduction_identity_exact():
         y0 = Fraction(rng.randrange(1, 1000), 10**6)
         t = Transmittances.equal(eta)
         n = NoiseParams(y0)
-        assert q1_general(t, n, K) == q1_identical(eta, n, K)
+        cb = case_breakdown(t, n, K)
+        assert cb.total_gain == q1_identical(eta, n, K)
         if q1_identical(eta, n, K) > 0:
-            assert error_gain_general(t, n, K) / q1_general(t, n, K) == e1_identical(eta, n, K)
+            assert cb.total_error / cb.total_gain == e1_identical(eta, n, K)
 
 
 def test_identical_closed_form_points():

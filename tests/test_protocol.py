@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from wqkd import protocol
-from wqkd.errors import NoAcceptedEvents
-from wqkd.fock import multiplicity_factor
+from wqkd.analyzer import INPUT_MODES, w_analyzer
+from wqkd.fock import FockState, Mode, multiplicity_factor
 from wqkd.keyrate import (
     NoiseParams,
     Transmittances,
@@ -313,7 +313,7 @@ def cleared_rows():
 
 
 def test_x_caches_hold_one_delay(table, monkeypatch, cleared_rows):
-    monkeypatch.setattr(protocol, "_x_outcomes", lambda survivors, delta: [(1.0, 0, True)])
+    monkeypatch.setattr(protocol, "_outcomes", lambda survivors, delta: ((None, 1.0, 0, True),))
     signature = protocol._pattern_signature(table)
     z_rows = protocol._live_rows(signature, None)
     for delta in (0.1, 0.2, 0.3):
@@ -328,8 +328,8 @@ def test_x_caches_hold_one_delay(table, monkeypatch, cleared_rows):
 def test_z_and_x_rows_never_share_a_key(table, monkeypatch):
     # rows are rebuilt on every miss; the real delta-0 X outcomes are computed once
     # here, and the sweep's other delay only has to push the Z rows out
-    real = functools.cache(protocol._x_outcomes)
-    monkeypatch.setattr(protocol, "_x_outcomes", lambda s, delta: real(s, delta) if delta == 0 else [(1.0, 0, True)])
+    real = functools.cache(protocol._outcomes)
+    monkeypatch.setattr(protocol, "_outcomes", lambda s, delta: real(s, delta) if delta == 0 else ((None, 1.0, 0, True),))
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-3, trials=200_000, seed=17)
     x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
     assert z.delta == x.delta == 0.0
@@ -362,7 +362,23 @@ def test_x_outcomes_equal_superposition_reference(x_superposition_outcomes):
     configs.append(((0, 1), (1, 0), (2, 0), (3, 1)))
     delta = math.pi / 8
     for c in configs:
-        assert protocol._x_outcomes(c, delta) == x_superposition_outcomes(c, delta), c
+        assert protocol._outcomes(c, delta) == x_superposition_outcomes(c, delta), c
+
+
+def test_z_outcomes_equal_direct_propagation():
+    # the reference: each survivor's own bin propagated as one monomial
+    configs = sorted(set(protocol._SURVIVORS))
+    assert len(configs) == 81
+    for c in configs:
+        state = w_analyzer().propagate(FockState.from_monomial(Mode(INPUT_MODES[p], z) for p, z in c))
+        assert protocol._survivor_state(c, "z") == state, c
+        reference = tuple(
+            (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            for mon, _ in state.terms()
+        )
+        outcomes = protocol._z_outcomes(c)
+        assert outcomes == reference, c
+        assert all(type(p) is Fraction for _, p, _, _ in outcomes), c
 
 
 @functools.cache
@@ -370,7 +386,7 @@ def _x_probabilities_at_zero_delay(survivors):
     """Exact (monomial, probability) of each X output at delta = 0 (phi -> 1)."""
     probs = [
         (mon, amp.at_phase_one().abs2() * multiplicity_factor(mon))
-        for mon, amp in protocol._x_state(survivors).terms()
+        for mon, amp in protocol._survivor_state(survivors, "x").terms()
     ]
     assert left_sum(p for _, p in probs) == 1
     return probs
@@ -438,8 +454,6 @@ def test_estimate_edges():
     empty = Tally(cfg, 1000, 0, 0, 0, (0,) * 5, (0,) * 5)
     rep = estimate(empty)
     assert rep.q1_hat == 0.0 and rep.e1_hat is None
-    with pytest.raises(NoAcceptedEvents):
-        rep.e1_or_raise()
     full = Tally(cfg, 1000, 1000, 1000, 0, (0, 0, 0, 0, 1000), (0,) * 5)
     rep = estimate(full)
     assert rep.q1_hat == 1.0 and rep.e1_hat == 0.0

@@ -13,7 +13,6 @@ from wqkd.qubits import (
     entanglement_swap,
     expand_in_w_basis,
     parse_w_label,
-    recombine_from_w_basis,
     w_state,
     x_basis_expansion,
 )
@@ -97,6 +96,12 @@ def test_apply_pauli_length_mismatch():
         w_state(0).apply_pauli("XX")
 
 
+@pytest.mark.parametrize("ops", ["XQXX", "-XX-X", "xxxx"])
+def test_apply_pauli_rejects_invalid_character(ops):
+    with pytest.raises(ValueError, match="invalid Pauli string"):
+        w_state(0).apply_pauli(ops)
+
+
 def test_expand_in_w_basis_basis_states():
     half = Amplitude.gauss(1, 0, 2)
     coeffs = expand_in_w_basis(QubitState.basis("0001"))
@@ -118,7 +123,10 @@ def test_w_basis_round_trip_random_states():
         }
         s = QubitState(4, amps)
         coeffs = expand_in_w_basis(s)
-        assert recombine_from_w_basis(coeffs) == s
+        recombined = QubitState(4)
+        for i, c in enumerate(coeffs):
+            recombined = recombined + w_state(i).scaled(c)
+        assert recombined == s
         assert sum(c.abs2() for c in coeffs) == s.norm_squared()
 
 
