@@ -39,28 +39,37 @@ def _reduce(p: int, q: int, r: int, s: int, h: int) -> _Coef:
     return (p, q, r, s, h)
 
 
-def _cadd(a: _Coef, b: _Coef) -> _Coef:
-    p1, q1, r1, s1, h1 = a
-    p2, q2, r2, s2, h2 = b
-    if h1 > h2:
-        p1, q1, r1, s1, h1, p2, q2, r2, s2, h2 = p2, q2, r2, s2, h2, p1, q1, r1, s1, h1
-    d = h2 - h1
-    if d % 2 == 1:  # lift by one sqrt(2): (g0 + g1*sqrt2)*sqrt2 = 2*g1 + g0*sqrt2
-        p1, q1, r1, s1 = 2 * r1, 2 * s1, p1, q1
-        d -= 1
-    m = 1 << (d // 2)
-    return _reduce(p1 * m + p2, q1 * m + q2, r1 * m + r2, s1 * m + s2, h2)
+def _lift(p: int, q: int, r: int, s: int, gap: int) -> tuple[int, int, int, int]:
+    """The same value's numerator at half-power h + gap, for a numerator at h."""
+    if gap % 2:  # lift by one sqrt(2): (g0 + g1*sqrt2)*sqrt2 = 2*g1 + g0*sqrt2
+        p, q, r, s = 2 * r, 2 * s, p, q
+    m = 1 << (gap // 2)
+    return p * m, q * m, r * m, s * m
 
 
-def _cmul(a: _Coef, b: _Coef) -> _Coef:
-    p1, q1, r1, s1, h1 = a
-    p2, q2, r2, s2, h2 = b
+def _ring_mul(p1, q1, r1, s1, p2, q2, r2, s2):
+    """Numerator of the product of two numerators p + q*i + (r + s*i)*sqrt2.
+
+    Plain arithmetic only, so the operands may be ints or numpy arrays alike.
+    """
     # (g0 + g1*sqrt2)(f0 + f1*sqrt2) = (g0*f0 + 2*g1*f1) + (g0*f1 + g1*f0)*sqrt2
     p = (p1 * p2 - q1 * q2) + 2 * (r1 * r2 - s1 * s2)
     q = (p1 * q2 + q1 * p2) + 2 * (r1 * s2 + s1 * r2)
     r = (p1 * r2 - q1 * s2) + (r1 * p2 - s1 * q2)
     s = (p1 * s2 + q1 * r2) + (r1 * q2 + s1 * p2)
-    return _reduce(p, q, r, s, h1 + h2)
+    return p, q, r, s
+
+
+def _cadd(a: _Coef, b: _Coef) -> _Coef:
+    if a[4] > b[4]:
+        a, b = b, a
+    p1, q1, r1, s1 = _lift(a[0], a[1], a[2], a[3], b[4] - a[4])
+    p2, q2, r2, s2, h2 = b
+    return _reduce(p1 + p2, q1 + q2, r1 + r2, s1 + s2, h2)
+
+
+def _cmul(a: _Coef, b: _Coef) -> _Coef:
+    return _reduce(*_ring_mul(*a[:4], *b[:4]), a[4] + b[4])
 
 
 def _cneg(a: _Coef) -> _Coef:

@@ -137,7 +137,10 @@ def _merge(args: argparse.Namespace) -> dict:
             if key in _FLOAT_KEYS:
                 merged[key] = float(value)
             elif key in _INT_KEYS:
-                merged[key] = int(float(value))
+                number = float(value)
+                merged[key] = int(number)
+                if merged[key] != number:  # the flags reject 1.9 too
+                    raise ValueError(f"config key {key} must be an integer, got {value!r}")
             elif key in _CHOICES and value not in _CHOICES[key]:
                 raise ValueError(f"config key {key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
             else:

@@ -10,9 +10,13 @@ combination of output operators, with one phi phase power per delay traversed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .amplitude import Amplitude, accumulate
+import numpy as np
+
+from .amplitude import Amplitude, _lift, _reduce, _ring_mul, accumulate
 from .errors import UnmappedMode
 
 SPATIAL_ORDER = "abcdefghjklmsuvw"
@@ -143,30 +147,43 @@ class FockState:
     # -- propagation ---------------------------------------------------------
 
     def apply_mode_map(self, mm: "ModeMap") -> FockState:
-        out: dict[Monomial, Amplitude] = {}
+        """Substitute every creation operator by its image under ``mm``.
+
+        Exact integer kernel.  Every numerator of the images in use is lifted
+        to their largest half-power H, and every numerator of the state to its
+        own largest, H0, so an n-photon product lies at half-power H0 + n*H
+        with four integers (p, q, r, s) for its coefficient.  The input
+        monomials of each photon number are propagated together, photon by
+        photon, on rows of (input monomial, sorted slot codes, phase power,
+        numerator); equal rows are merged after every photon, and each output
+        coefficient is brought to canonical form once, at the end.
+        """
+        slots, half, index, table = _slot_images(mm, {m for mon in self._terms for m in mon})
+        base = max(
+            (amp.coefficient(k)[4] for amp in self._terms.values() for k in amp.phase_powers()), default=0
+        )
+        by_photons: dict[int, list[tuple[Monomial, Amplitude]]] = {}
         for mon, amp in self._terms.items():
-            partial: dict[Monomial, Amplitude] = {(): amp}
-            for m in mon:
-                image = mm.image(m)
-                nxt: dict[Monomial, Amplitude] = {}
-                for pm, pa in partial.items():
-                    for om, oa in image:
-                        key = monomial(*pm, om)
-                        a = pa * oa
-                        cur = nxt.get(key)
-                        na = a if cur is None else cur + a
-                        if na.is_zero:
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = na
-                partial = nxt
-            for m2, a2 in partial.items():
-                cur = out.get(m2)
-                na = a2 if cur is None else cur + a2
-                if na.is_zero:
-                    out.pop(m2, None)
-                else:
-                    out[m2] = na
+            by_photons.setdefault(len(mon), []).append((mon, amp))
+        out: dict[Monomial, Amplitude] = {}
+        for n, group in by_photons.items():
+            src, ks, lifted = [], [], []
+            for i, (_, amp) in enumerate(group):
+                for k in amp.phase_powers():
+                    p, q, r, s, h = amp.coefficient(k)
+                    src.append(i)
+                    ks.append(k)
+                    lifted.append(_lift(p, q, r, s, base - h))
+            photons = np.array([[index[m] for m in mon] for mon, _ in group], np.int64).reshape(len(group), n)
+            no_slots = np.zeros((len(src), 0), np.int64)
+            rows = (np.array(src, np.int64), no_slots, np.array(ks, np.int64), _numerators(lifted))
+            for j in range(n):
+                rows = _times_image(rows, photons[rows[0], j], table)
+            _, codes, ks, nums = rows if len(group) == 1 else _merge_sources(rows, len(group))
+            h = base + n * half
+            for c, terms in groupby(zip(codes.tolist(), ks.tolist(), nums.tolist()), key=itemgetter(0)):
+                coeffs = {k: _reduce(p, q, r, s, h) for _, k, (p, q, r, s) in terms}
+                out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)
         return FockState.__new_canonical(out)
 
     # -- measurement ---------------------------------------------------------
@@ -210,6 +227,128 @@ class FockState:
 
     def __repr__(self) -> str:
         return f"FockState<{self.n_terms} terms>"
+
+
+# -- integer propagation kernel ----------------------------------------------
+#
+# A block of rows is (src, codes, ks, nums): src[i] is the input monomial row i
+# descends from, codes[i] its output slots as ascending indices into the
+# call's sorted slot list (so ascending codes are the canonical monomial
+# order), ks[i] its phase power and nums[i] its numerator (p, q, r, s) at the
+# block's common half-power.  Numerators are int64 wherever a magnitude bound
+# rules out overflow, Python ints otherwise.
+
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_INT64_LIMIT = 1 << 63
+
+
+def _numerators(rows: list[tuple[int, int, int, int]]) -> np.ndarray:
+    small = all(abs(v) < _INT64_LIMIT for row in rows for v in row)
+    return np.array(rows, dtype=np.int64 if small else object).reshape(len(rows), 4)
+
+
+def _magnitude(nums: np.ndarray) -> int:
+    return int(np.abs(nums).max()) if nums.size else 0
+
+
+def _slot_images(mm: "ModeMap", inputs: set[Mode]) -> tuple[list[Mode], int, dict[Mode, int], tuple]:
+    """Sorted output slots, the images' common half-power H, and the image table.
+
+    Row ``index[m]`` of the table holds the image of input mode m: its first
+    ``counts[index[m]]`` entries are (slot code, phase power, numerator), one
+    per distinct (slot, phase power).
+    """
+    raw = {m: mm.image(m) for m in inputs}  # raises UnmappedMode before any work
+    half = max(
+        (amp.coefficient(k)[4] for img in raw.values() for _, amp in img for k in amp.phase_powers()),
+        default=0,
+    )
+    slots = sorted({om for img in raw.values() for om, _ in img}, key=Mode.sort_key)
+    code = {om: i for i, om in enumerate(slots)}
+    images = []
+    for img in raw.values():
+        acc: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        for om, amp in img:
+            for k in amp.phase_powers():
+                p, q, r, s, h = amp.coefficient(k)
+                old = acc.get((code[om], k), (0, 0, 0, 0))
+                acc[(code[om], k)] = tuple(a + b for a, b in zip(old, _lift(p, q, r, s, half - h)))
+        images.append([(c, k, num) for (c, k), num in acc.items()])
+    width = max(map(len, images), default=0)
+    padded = [entries + [(0, 0, (0, 0, 0, 0))] * (width - len(entries)) for entries in images]
+    shape = (len(images), width)
+    table = (
+        np.array([[c for c, _, _ in row] for row in padded], np.int64).reshape(shape),
+        np.array([[k for _, k, _ in row] for row in padded], np.int64).reshape(shape),
+        _numerators([num for row in padded for _, _, num in row]).reshape(*shape, 4),
+        np.array([len(entries) for entries in images], np.int64),
+    )
+    return slots, half, {m: i for i, m in enumerate(raw)}, table
+
+
+def _times_image(rows: _Rows, modes: np.ndarray, table: tuple) -> _Rows:
+    """Each row times every entry of the image of its next input mode, merged."""
+    src, codes, ks, nums = rows
+    icodes, iks, inums, counts = table
+    # a product numerator is at most 6*|a|*|b|, and one row's products have
+    # distinct keys, so at most len(ks) products land on one merged row
+    if object in (nums.dtype, inums.dtype) or 6 * _magnitude(nums) * _magnitude(inums) * len(ks) >= _INT64_LIMIT:
+        nums, inums = nums.astype(object), inums.astype(object)
+    per_row = counts[modes]
+    left = np.repeat(np.arange(len(ks)), per_row)
+    mode = modes[left]
+    entry = np.arange(len(left)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    codes = np.sort(np.column_stack((codes[left], icodes[mode, entry])), axis=1)
+    prod = _ring_mul(*nums[left].T, *inums[mode, entry].T)
+    return _merge(src[left], codes, ks[left] + iks[mode, entry], np.column_stack(prod))
+
+
+def _merge_sources(rows: _Rows, n_sources: int) -> _Rows:
+    """Merge the outputs of all input monomials into one block."""
+    src, codes, ks, nums = rows
+    # each source holds at most one row per key
+    if nums.dtype != object and _magnitude(nums) * n_sources >= _INT64_LIMIT:
+        nums = nums.astype(object)
+    return _merge(np.zeros_like(src), codes, ks, nums)
+
+
+def _merge(src: np.ndarray, codes: np.ndarray, ks: np.ndarray, nums: np.ndarray) -> _Rows:
+    """Sum rows with equal source, codes and phase power; drop rows summing to zero."""
+    if not len(ks):
+        return src, codes, ks, nums
+    keys = _packed_keys(src, codes, ks)
+    order = np.lexsort(keys[::-1])  # np.lexsort takes its primary key last
+    keys = [key[order] for key in keys]
+    first = np.zeros(len(ks), bool)
+    first[0] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    nums = np.add.reduceat(nums[order], starts, axis=0)
+    keep = (nums != 0).any(axis=1)
+    picked = order[starts][keep]
+    return src[picked], codes[picked], ks[picked], nums[keep]
+
+
+def _packed_keys(src: np.ndarray, codes: np.ndarray, ks: np.ndarray) -> list[np.ndarray]:
+    """The columns (src, codes..., ks) as mixed-radix digits of as few int64
+    keys as hold them, primary key first, so that comparing the keys in turn
+    compares rows lexicographically."""
+    low = int(ks.min())
+    n_codes = int(codes.max()) + 1 if codes.size else 1
+    columns = [(src, int(src.max()) + 1), *((col, n_codes) for col in codes.T)]
+    columns.append((ks - low, int(ks.max()) - low + 1))
+    keys: list[np.ndarray] = []
+    key, radix = columns[0]
+    for col, size in columns[1:]:
+        if radix * size < _INT64_LIMIT:
+            key, radix = key * size + col, radix * size
+        else:
+            keys.append(key)
+            key, radix = col, size
+    keys.append(key)
+    return keys
 
 
 class ModeMap:

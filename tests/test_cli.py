@@ -295,6 +295,25 @@ def test_config_file_infinite_count_exits_1(capsys, tmp_path):
     assert err == "error: cannot convert float infinity to integer\n"
 
 
+@pytest.mark.parametrize("line", ["seed = 1.9", "trials = 1000.5", "seed = -0.5"])
+def test_config_file_non_integral_count_exits_1(capsys, tmp_path, line):
+    # a fractional seed was once truncated silently, where the flag exits 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trials = 1000\n{line}\n")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: config key {line.split()[0]} must be an integer, got {line.split()[-1]!r}\n"
+
+
+def test_config_file_integral_float_count_is_accepted(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 1e3\nseed = 7.0\n")
+    code, out, _ = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 0
+    assert "trials=1000" in out and "seed=7" in out
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["keyrate", "--alpha", "abc"])

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wqkd import fock, protocol
 from wqkd.amplitude import Amplitude
-from wqkd.analyzer import splitter_map
+from wqkd.analyzer import INPUT_MODES, splitter_map, w_analyzer
 from wqkd.errors import UnmappedMode
-from wqkd.fock import FockState, Mode, mode, monomial
+from wqkd.fock import FockState, Mode, ModeMap, mode, monomial
+from wqkd.qubits import encode_fock, w_state
 
 
 def a0() -> Mode:
@@ -69,10 +73,15 @@ def test_two_photon_bunching():
     assert out.pattern_probability([Mode("c", 0), Mode("c", 0)]) == Fraction(1, 2)
 
 
-def test_unmapped_mode_raises():
+def test_unmapped_mode_raises(monkeypatch):
     bs = splitter_map("a", "b", "c", "d")
     with pytest.raises(UnmappedMode):
         FockState.single(Mode("e", 0)).apply_mode_map(bs)
+    # raised before any photon is propagated, even when other monomials map
+    monkeypatch.setattr(fock, "_times_image", lambda *args: pytest.fail("propagation started"))
+    mixed = FockState.from_monomial([Mode("a", 0), Mode("b", 1)]) + FockState.single(Mode("e", 0))
+    with pytest.raises(UnmappedMode):
+        mixed.apply_mode_map(bs)
 
 
 def test_mode_map_composition_law():
@@ -128,3 +137,80 @@ def test_debug_serialization():
     assert s.lines() == ["(1+0i)/2^(4/2) * phi^2 * a†[s,t0] a†[u,t1]"]
     assert str(FockState.zero()) == "0"
     assert FockState.vacuum().lines() == ["(1+0i)/2^(0/2) * phi^0 * 1"]
+
+
+# -- the integer kernel against the reference walk ----------------------------
+
+_small = st.integers(-4, 4)
+_coef = st.tuples(_small, _small, st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 5))  # (p, q, r, s, h)
+_amplitude = st.dictionaries(st.integers(-2, 2), _coef, min_size=1, max_size=2).map(Amplitude)
+_mode = st.builds(Mode, st.sampled_from("abc"), st.integers(0, 2))
+_monomial = st.lists(_mode, max_size=4).map(lambda ms: monomial(*ms))
+_state = st.dictionaries(_monomial, _amplitude, max_size=4).map(FockState)
+_entry = st.tuples(st.sampled_from("efgh"), st.integers(0, 2), _amplitude)
+_map = st.fixed_dictionaries({sp: st.lists(_entry, max_size=3).map(tuple) for sp in "abc"}).map(ModeMap)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_state, _map)
+def test_kernel_equals_reference_walk(reference_apply_mode_map, state, mm):
+    # bunched inputs, mixed photon numbers, multi-phase numerators with r, s != 0,
+    # mixed even and odd half-powers, the vacuum and the zero state all occur
+    assert state.apply_mode_map(mm) == reference_apply_mode_map(state, mm)
+
+
+def test_kernel_vacuum_and_zero_state():
+    bs = splitter_map("a", "b", "c", "d")
+    vac = FockState.vacuum().scaled(Amplitude({0: (1, 2, 3, -1, 3), 2: (0, 1, 0, 0, 0)}))
+    assert vac.apply_mode_map(bs) == vac
+    assert FockState.zero().apply_mode_map(bs) == FockState.zero()
+
+
+@pytest.mark.parametrize("p", [2**70, 2**40], ids=["input-beyond-int64", "products-beyond-int64"])
+def test_kernel_switches_to_python_ints(monkeypatch, reference_apply_mode_map, p):
+    # 2**70 does not fit int64 at all; 2**40 does, but its products with the
+    # 2**30 numerators of the map would overflow it
+    big = 2**30
+    mm = ModeMap({
+        "a": (("c", 0, Amplitude.gauss(big + 1, 3, 1)), ("d", 1, Amplitude.gauss(-big, 1, 0, phase=1))),
+        "b": (("c", 0, Amplitude.gauss(5, big, 1)), ("d", 0, Amplitude.gauss(1, -1, 2))),
+    })
+    photons = [Mode("a", 0), Mode("a", 0), Mode("b", 1)]
+    state = FockState.from_monomial(photons, Amplitude.gauss(p + 1, -p, 3))
+    dtypes = []
+    merge = fock._merge
+    monkeypatch.setattr(fock, "_merge", lambda *rows: dtypes.append(rows[3].dtype) or merge(*rows))
+    assert state.apply_mode_map(mm) == reference_apply_mode_map(state, mm)
+    assert object in dtypes
+
+
+def test_kernel_equals_reference_on_w_states(reference_apply_mode_map):
+    net = w_analyzer()
+    for label in range(16):
+        state = encode_fock(w_state(label), INPUT_MODES)
+        composed = net.composed_map()
+        assert state.apply_mode_map(composed) == reference_apply_mode_map(state, composed), label
+        for i, stage in enumerate(net.stages):
+            out = state.apply_mode_map(stage)
+            assert out == reference_apply_mode_map(state, stage), (label, i)
+            state = out
+
+
+def test_kernel_equals_reference_on_survivor_states(monkeypatch, reference_apply_mode_map):
+    calls = []
+    kernel = FockState.apply_mode_map
+
+    def recorded(state, mm):
+        out = kernel(state, mm)
+        calls.append((state, mm, out))
+        return out
+
+    monkeypatch.setattr(FockState, "apply_mode_map", recorded)
+    configs = sorted(set(protocol._SURVIVORS))
+    x_configs = [c for c in configs if len(c) <= 3] + [((0, 1), (1, 0), (2, 0), (3, 1))]
+    for basis, chosen in (("z", configs), ("x", x_configs)):
+        for c in chosen:
+            protocol._survivor_state(c, basis)
+    assert len(calls) == 81 + 66
+    for state, mm, out in calls:
+        assert out == reference_apply_mode_map(state, mm)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wqkd import protocol
+from wqkd.amplitude import Amplitude
 from wqkd.analyzer import INPUT_MODES, w_analyzer
 from wqkd.fock import FockState, Mode, multiplicity_factor
 from wqkd.keyrate import (
@@ -381,27 +382,48 @@ def test_z_outcomes_equal_direct_propagation():
         assert all(type(p) is Fraction for _, p, _, _ in outcomes), c
 
 
+def _at_quarter_turns(amp, turns):
+    """The amplitude at phi = i**turns, exactly: sum_k c_k * i**(k * turns)."""
+    total = Amplitude.zero()
+    for k in amp.phase_powers():
+        p, q, r, s, h = amp.coefficient(k)
+        for _ in range(k * turns % 4):
+            p, q, r, s = -q, p, -s, r  # times i
+        total = total + Amplitude({0: (p, q, r, s, h)})
+    return total
+
+
 @functools.cache
-def _x_probabilities_at_zero_delay(survivors):
-    """Exact (monomial, probability) of each X output at delta = 0 (phi -> 1)."""
+def _exact_x_probabilities(survivors, turns):
+    """Exact (monomial, probability) of each X output at delta = turns * pi/2."""
     probs = [
-        (mon, amp.at_phase_one().abs2() * multiplicity_factor(mon))
+        (mon, _at_quarter_turns(amp, turns).abs2() * multiplicity_factor(mon))
         for mon, amp in protocol._survivor_state(survivors, "x").terms()
     ]
-    assert left_sum(p for _, p in probs) == 1
+    assert all(type(p) is Fraction for _, p in probs), survivors
+    assert left_sum(p for _, p in probs) == 1, survivors
     return probs
 
 
-def _exact_x_without_darks(cfg, table):
-    """Exact X-basis Q1 and e1 at delta = 0 and y0 = 0.
+@pytest.mark.parametrize("turns", [0, 1], ids=["phi-1", "phi-i"])
+def test_exact_x_probabilities_sum_to_one(turns):
+    # at delta = 0 and pi/2 every X outcome probability is rational
+    for c in set(protocol._SURVIVORS):
+        _exact_x_probabilities(c, turns)
 
-    Without dark counts a trial is announced only when the photons' click
-    mask equals a detection pattern.  The X sift rule is written out here:
-    the announcers' x bits differ, and the trial errs when the key holders'
-    x bits are equal.
+
+def _exact_x(cfg, table):
+    """Exact X-basis Q1 and e1 at delta = 0 or pi/2.
+
+    The enumerator's walk (``_walk_enumerate``) in the X basis, written out
+    here: the announcers' x bits differ, and the trial errs when the key
+    holders' x bits are equal.  An outcome counts for a detection pattern
+    when its slots lie inside the pattern (and, in paper accounting, no two
+    photons share a slot); dark counts fill the pattern's other slots.
     """
-    assert cfg.delta == 0 and cfg.y0 == 0
-    patterns = {protocol.slot_mask(p) for pats in table.patterns.values() for p in pats}
+    turns = {0: 0, math.pi / 2: 1}[cfg.delta]
+    y0 = cfg.y0
+    patterns = [protocol.slot_mask(p) for pats in table.patterns.values() for p in pats]
     ra, rb = cfg.announcers
     ha, hb = cfg.key_holders
     gain = err = Fraction(0)
@@ -418,35 +440,60 @@ def _exact_x_without_darks(cfg, table):
                     survivors.append((party, x[party]))
                 else:
                     weight *= 1 - eta
-            for mon, p in _x_probabilities_at_zero_delay(tuple(survivors)):
-                if protocol.slot_mask(mon) not in patterns:
-                    continue
+            click = Fraction(0)
+            for mon, p in _exact_x_probabilities(tuple(survivors), turns):
                 if cfg.mode == "paper" and len(set(mon)) != len(mon):
                     continue
-                gain += weight * p
-                if x[ha] == x[hb]:
-                    err += weight * p
+                mask = protocol.slot_mask(mon)
+                missing = 4 - bin(mask).count("1")
+                click += p * y0**missing * sum(1 for pattern in patterns if not mask & ~pattern)
+            contrib = weight * click * (1 - y0) ** 12
+            gain += contrib
+            if x[ha] == x[hb]:
+                err += contrib
     return gain, err / gain
 
 
+_HALF = (Fraction(1, 2),) * 4
+_UNEVEN = (Fraction(9, 10), Fraction(4, 5), Fraction(7, 10), Fraction(3, 5))
+
+
 @pytest.mark.parametrize(
-    "etas, mode, announcers, seed, q1_exact",
+    "etas, mode, announcers, y0, delta, seed, pinned",
     [
-        ((Fraction(1, 2),) * 4, "paper", (0, 1), 11, Fraction(3, 16384)),
-        (
-            (Fraction(9, 10), Fraction(4, 5), Fraction(7, 10), Fraction(3, 5)),
-            "physical", (1, 3), 12, Fraction(567, 640000),
-        ),
+        (_HALF, "paper", (0, 1), 0, 0.0, 11, (Fraction(3, 16384), Fraction(2, 3))),
+        (_UNEVEN, "physical", (1, 3), 0, 0.0, 12, (Fraction(567, 640000), Fraction(2, 3))),
+        (_HALF, "paper", (0, 1), 0, math.pi / 2, 21, (Fraction(3, 16384), Fraction(2, 3))),
+        (_UNEVEN, "physical", (1, 3), Fraction(1, 1000), math.pi / 2, 22, None),
+    ],
+    ids=[
+        "etas0-paper-announcers0-11-q1_exact0",
+        "etas1-physical-announcers1-12-q1_exact1",
+        "phi-i-paper",
+        "phi-i-physical-darks",
     ],
 )
-def test_x_basis_monte_carlo_matches_exact_oracle(table, etas, mode, announcers, seed, q1_exact):
-    cfg = TrialConfig(etas=etas, y0=0, mode=mode, basis="x", announcers=announcers, trials=2_000_000, seed=seed)
-    q1, e1 = _exact_x_without_darks(cfg, table)
-    assert (q1, e1) == (q1_exact, Fraction(2, 3))
+def test_x_basis_monte_carlo_matches_exact_oracle(table, etas, mode, announcers, y0, delta, seed, pinned):
+    cfg = TrialConfig(
+        etas=etas, y0=y0, mode=mode, basis="x", announcers=announcers, delta=delta, trials=2_000_000, seed=seed
+    )
+    q1, e1 = _exact_x(cfg, table)
+    assert pinned is None or (q1, e1) == pinned
     tally = run_trials(cfg, table)
     q1, e1 = float(q1), float(e1)
     assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
     assert abs(tally.e1_hat - e1) <= 3 * math.sqrt(e1 * (1 - e1) / tally.accepted)
+
+
+def test_exact_x_depends_on_delta_only_through_dark_counts(table):
+    # no outcome that fills a detection pattern by itself mixes phase powers,
+    # so without dark counts Q1 and e1 are the same at delta = 0 and pi/2
+    for y0, same in ((0, True), (Fraction(1, 1000), False)):
+        zero, quarter = (
+            _exact_x(TrialConfig(etas=_UNEVEN, y0=y0, basis="x", announcers=(1, 3), delta=d), table)
+            for d in (0.0, math.pi / 2)
+        )
+        assert (zero == quarter) is same
 
 
 def test_estimate_edges():
