@@ -25,7 +25,6 @@ from .keyrate import (
     e1_identical,
     h2,
     key_rate,
-    key_rate_general,
     q1_identical,
     secure_distance,
     sweep,

@@ -79,8 +79,6 @@ class OpticalNetwork:
     """
 
     stages: tuple[ModeMap, ...]
-    input_modes: tuple[str, ...]
-    output_modes: tuple[str, ...]
 
     def propagate(self, state: FockState) -> FockState:
         return state.apply_mode_map(self.composed_map())
@@ -91,9 +89,6 @@ class OpticalNetwork:
     @functools.cached_property
     def _composed(self) -> ModeMap:
         return functools.reduce(ModeMap.compose, self.stages)
-
-    def is_isometry(self) -> bool:
-        return all(stage.is_isometry() for stage in self.stages) and self.composed_map().is_isometry()
 
 
 @functools.cache
@@ -110,11 +105,11 @@ def w_analyzer() -> OpticalNetwork:
         splitter_map("j", "k", "s", "u").extended("lm"),
         splitter_map("l", "m", "v", "w").extended("su"),
     )
-    return OpticalNetwork(stages, INPUT_MODES, OUTPUT_MODES)
+    return OpticalNetwork(stages)
 
 
 def bell_analyzer() -> OpticalNetwork:
-    return OpticalNetwork((interferometer_map("a", "b", "e", "f"),), ("a", "b"), ("e", "f"))
+    return OpticalNetwork((interferometer_map("a", "b", "e", "f"),))
 
 
 def click_distribution(state: FockState, delta: float | None = None) -> dict[ClickSet, Fraction | float]:

@@ -76,13 +76,14 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="wqkd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, formatted=False):
         sp.add_argument("--config", type=str, help="key=value file; flags override it")
         sp.add_argument("--out", type=str, help="output path (default stdout)")
-        sp.add_argument("--format", choices=_CHOICES["format"], help="output format")
+        if formatted:  # only the commands that read it take the flag
+            sp.add_argument("--format", choices=_CHOICES["format"], help="output format")
 
     sp = sub.add_parser("derive-table", help="derive the distinguishable-state table")
-    common(sp)
+    common(sp, formatted=True)
     sp.add_argument("--golden", type=str, help="golden table CSV to compare against")
 
     sp = sub.add_parser("verify", help="run the exact identity suites")
@@ -92,7 +93,7 @@ def _build_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("keyrate", help="key-rate sweep over end-to-end distance")
-    common(sp)
+    common(sp, formatted=True)
     for flag in ("--alpha", "--eta-d", "--y0", "--q", "--dmin", "--dmax", "--dstep"):
         sp.add_argument(flag, type=float)
 
@@ -101,7 +102,7 @@ def _build_parser() -> _Parser:
             name,
             help="exact protocol enumeration" if name == "enumerate" else "seeded Monte-Carlo run",
         )
-        common(sp)
+        common(sp, formatted=name == "simulate")
         sp.add_argument("--eta", type=float, help="per-party transmittance (all equal)")
         sp.add_argument("--y0", type=float)
         sp.add_argument("--mode", choices=_CHOICES["mode"])
@@ -295,13 +296,12 @@ def _case_comparison_lines(result, eta: float, y0: float, constants) -> tuple[li
 
 
 def cmd_enumerate(opts: dict) -> int:
-    table = derive_detection_table()
-    constants = AnalyzerConstants.from_table(table)
+    constants = AnalyzerConstants.from_table(derive_detection_table())
     eta, y0 = opts["eta"], opts["y0"]
     mode = opts["mode"]
     cfg = TrialConfig(etas=(eta,) * 4, y0=y0, mode=mode)
-    paper = exact_enumerate(replace(cfg, mode="paper"), table)
-    physical = exact_enumerate(replace(cfg, mode="physical"), table)
+    paper = exact_enumerate(replace(cfg, mode="paper"))
+    physical = exact_enumerate(replace(cfg, mode="physical"))
     result = paper if cfg.mode == "paper" else physical
     q1c = q1_identical(eta, NoiseParams(y0), constants)
     e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else 0.0
@@ -327,7 +327,6 @@ def cmd_enumerate(opts: dict) -> int:
 def cmd_simulate(opts: dict) -> int:
     if opts["delta"] is not None and opts["basis"] == "z":
         raise ValueError("delta is the X-basis delay; it does not apply to --basis z")
-    table = derive_detection_table()
     eta, y0 = opts["eta"], opts["y0"]
     cfg = TrialConfig(
         etas=(eta,) * 4,
@@ -338,11 +337,11 @@ def cmd_simulate(opts: dict) -> int:
         seed=opts["seed"],
         delta=0.0 if opts["delta"] is None else opts["delta"],
     )
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     report = estimate(tally)
     exact = None
     if cfg.basis == "z":
-        exact = exact_enumerate(TrialConfig(etas=cfg.etas, y0=y0, mode=cfg.mode), table)
+        exact = exact_enumerate(TrialConfig(etas=cfg.etas, y0=y0, mode=cfg.mode))
     header = (
         f"# wqkd simulate mode={cfg.mode} basis={cfg.basis} eta={eta} y0={y0} "
         f"trials={cfg.trials} seed={cfg.seed}"

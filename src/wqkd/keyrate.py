@@ -17,11 +17,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NoPositiveRate, ZeroGain
 
 Number = float | Fraction
+_MAX_SEARCH_KM = 1e6  # secure_distance scans 10 km steps: at most 10**5 rate evaluations
 
 
 def left_sum(values: Iterable[Number]) -> Number:
@@ -215,18 +216,6 @@ def key_rate(q1: float, e1: float, p: RateParams = RateParams()) -> float:
     return p.q * q1 * (1 - 2 * h2(e1))
 
 
-def key_rate_general(
-    q1: float,
-    qber_x: Sequence[float],
-    qber_z: Sequence[float],
-    p: RateParams = RateParams(),
-) -> float:
-    """R0 with the worst pairwise QBER taken in each basis (six pairs each)."""
-    if len(qber_x) != 6 or len(qber_z) != 6:
-        raise ValueError("six pairwise QBERs are required per basis")
-    return p.q * q1 * (1 - max(h2(e) for e in qber_x) - max(h2(e) for e in qber_z))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     distance_km: float  # end-to-end distance between two participants
@@ -267,6 +256,8 @@ def secure_distance(
     Returns None when the rate never crosses zero inside [0, d_max] (the
     sweep-limit sentinel; this is the y0 = 0 situation).
     """
+    if d_max > _MAX_SEARCH_KM:  # a rate that never falls, at alpha = 0, would scan all the way
+        raise ValueError(f"secure-distance search limit {d_max:g} km is beyond {_MAX_SEARCH_KM:g} km")
     if _point(c, n, k, p, 0.0).r0 <= 0:
         raise NoPositiveRate("key rate non-positive at zero distance")
     lo, hi = 0.0, None

@@ -39,33 +39,24 @@ from .analyzer import (
     DISTINGUISHABLE_LABELS,
     INPUT_MODES,
     OUTPUT_MODES,
-    DetectionTable,
     derive_detection_table,
     w_analyzer,
 )
-from .fock import FockState, Mode, ModeMap, Monomial
+from .fock import FockState, Mode, ModeMap, Monomial, multiplicity_factor
 from .keyrate import left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
 
 _LABEL_TO_IDX = {label: i for i, label in enumerate(DISTINGUISHABLE_LABELS)}
-
-
-def slot_index(m: Mode) -> int:
-    return OUTPUT_MODES.index(m.spatial) * 4 + m.bin
+_SLOT_OFFSET = {spatial: 4 * i for i, spatial in enumerate(OUTPUT_MODES)}  # 4 time bins per output mode
 
 
 def slot_mask(mon: Iterable[Mode]) -> int:
     mask = 0
     for m in mon:
-        mask |= 1 << slot_index(m)
+        mask |= 1 << (_SLOT_OFFSET[m.spatial] + m.bin)
     return mask
-
-
-def _pattern_signature(table: DetectionTable) -> tuple[tuple[int, int], ...]:
-    """(label, slot mask) of every detection pattern, in table order."""
-    return tuple((label, slot_mask(p)) for label, pats in table.patterns.items() for p in pats)
 
 
 @dataclass(frozen=True)
@@ -98,6 +89,8 @@ class TrialConfig:
             raise ValueError("announcers must be two distinct party indices")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def key_holders(self) -> tuple[int, int]:
@@ -141,8 +134,8 @@ def _outcomes(
     """
     state = _survivor_state(survivors, "z" if delta is None else "x")
     return tuple(
-        (mon, state.pattern_probability(mon, delta), slot_mask(mon), len(set(mon)) == len(mon))
-        for mon, _ in state.terms()
+        (mon, amp.abs2(delta) * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
+        for mon, amp in state.terms()
     )
 
 
@@ -221,14 +214,10 @@ class _ClickTerms:
         return float(np.add.accumulate(self.probs * np.array(powers)[self.missing])[-1])
 
 
-@functools.lru_cache(maxsize=1)
-def _click_cache(signature: tuple) -> dict[tuple, _ClickTerms]:
-    """(survivors, labels) -> click terms over one pattern signature, filled lazily."""
-    return {}
-
-
-def _click_terms(signature: tuple, survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
+@functools.cache  # at most 81 survivor configurations x 2 Z label groups
+def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
     """Walk labels, then their patterns in table order, then photon outcomes."""
+    patterns = derive_detection_table().patterns
     outcomes = _z_outcomes(survivors)
     unit = math.lcm(*(p.denominator for _, p, _, _ in outcomes))  # exact sums in integers
     rows = [
@@ -239,9 +228,8 @@ def _click_terms(signature: tuple, survivors: tuple, labels: tuple[int, ...]) ->
     coeffs = [0] * 5
     probs, missing = [], []
     for label in labels:
-        for pattern_label, pmask in signature:
-            if pattern_label != label:
-                continue
+        for pattern in patterns[label]:
+            pmask = slot_mask(pattern)
             for mmask, m, free, units, p in rows:
                 if mmask & ~pmask:
                     continue
@@ -259,22 +247,19 @@ def _click_terms(signature: tuple, survivors: tuple, labels: tuple[int, ...]) ->
     )
 
 
-def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> EnumerationResult:
+def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
     """Exact accepted-gain and error-gain, split by photon-survival case.
 
     Sums over the 16 equally likely Z-basis inputs, the 16 photon-survival
     subsets, the exact click distribution of the surviving photons, and the
     dark-count completions of each detection-table pattern.  Exact (Fraction)
     when the channel parameters are Fractions.  The click terms of each
-    survivor configuration are cached per table pattern signature; a float y0
-    adds them in the order of the (label, pattern, outcome) walk, so float
-    results are the walk's to the last bit.
+    survivor configuration are cached; a float y0 adds them in the order of
+    the (label, pattern, outcome) walk, so float results are the walk's to the
+    last bit.
     """
     if cfg.basis != "z":
         raise ValueError("exact enumeration is defined for the Z basis")
-    tab = table or derive_detection_table()
-    signature = _pattern_signature(tab)
-    cache = _click_cache(signature)  # hashes the signature once per call
     y0 = cfg.y0
     powers = [y0**m for m in range(5)]
     exact_y0 = isinstance(y0, (int, Fraction))
@@ -301,10 +286,7 @@ def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> En
             key = (survivors, labels)
             click = clicks.get(key)
             if click is None:
-                terms = cache.get(key)
-                if terms is None:
-                    terms = cache[key] = _click_terms(signature, *key)
-                click = clicks[key] = terms.click(cfg.mode, powers, exact_y0)
+                click = clicks[key] = _click_terms(*key).click(cfg.mode, powers, exact_y0)
             contrib = weight * click * no_dark_rest
             gain[k] += contrib
             if is_error:
@@ -315,9 +297,7 @@ def exact_enumerate(cfg: TrialConfig, table: DetectionTable | None = None) -> En
     return EnumerationResult(cfg.mode, total_gain, e1, tuple(gain), tuple(err))
 
 
-def survivor_coefficients(
-    mode: str = "paper", table: DetectionTable | None = None
-) -> dict[frozenset[int], tuple[Fraction, Fraction]]:
+def survivor_coefficients(mode: str = "paper") -> dict[frozenset[int], tuple[Fraction, Fraction]]:
     """Exact per-survivor-set polynomial coefficients of the gain and error gain.
 
     With indicator transmittances, gain = coeff * y0**(4-k) * (1-y0)**12 for
@@ -325,14 +305,13 @@ def survivor_coefficients(
     multilinear coefficient.  The closed-form five-case terms are compared
     against these, coefficient by coefficient.
     """
-    tab = table or derive_detection_table()
     y0 = Fraction(1, 3)
     out: dict[frozenset[int], tuple[Fraction, Fraction]] = {}
     for surv in range(16):
         parties = frozenset(p for p in range(4) if (surv >> (3 - p)) & 1)
         etas = tuple(Fraction(1) if p in parties else Fraction(0) for p in range(4))
         cfg = TrialConfig(etas=etas, y0=y0, mode=mode, trials=1)
-        res = exact_enumerate(cfg, tab)
+        res = exact_enumerate(cfg)
         k = len(parties)
         base = y0 ** (4 - k) * (1 - y0) ** 12
         out[parties] = (res.gain_cases[k] / base, res.error_cases[k] / base)
@@ -377,18 +356,20 @@ class _LiveRows:
 
 
 @functools.lru_cache(maxsize=2)  # the Z rows and one X delay
-def _live_rows(signature: tuple, delta: float | None) -> _LiveRows:
-    """Live rows over a pattern signature: Z basis for ``delta=None``, else X at that delay."""
+def _live_rows(delta: float | None) -> _LiveRows:
+    """Live rows: Z basis for ``delta=None``, else X at that delay."""
     label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
     live: set[int] = set()
-    for label, pmask in signature:
-        label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
-        sub = pmask
-        while True:  # every submask of the pattern, the empty one included
-            live.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & pmask
+    for label, pats in derive_detection_table().patterns.items():
+        for pattern in pats:
+            pmask = slot_mask(pattern)
+            label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
+            sub = pmask
+            while True:  # every submask of the pattern, the empty one included
+                live.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & pmask
     # the Z lists are cached; an X delay's lists are built once, here
     outcomes_of = _z_outcomes if delta is None else functools.partial(_outcomes, delta=delta)
     outcomes: list[tuple[float, int, bool]] = []
@@ -461,16 +442,15 @@ def _entries(cfg: TrialConfig, rows: _LiveRows) -> _Entries:
     )
 
 
-def run_trials(cfg: TrialConfig, table: DetectionTable | None = None) -> Tally:
+def run_trials(cfg: TrialConfig) -> Tally:
     """Seeded Monte-Carlo realization of the protocol model.
 
     Trial t lives in chunk t // 65536; the module docstring says what a chunk
     draws.  A tally ignores trial order, so each chunk expands its entry
     counts into trials in entry order, live trials first.
     """
-    tab = table or derive_detection_table()
     # a Z configuration carries delta 0.0, so the Z rows must not key on it
-    rows = _live_rows(_pattern_signature(tab), cfg.delta if cfg.basis == "x" else None)
+    rows = _live_rows(cfg.delta if cfg.basis == "x" else None)
     ent = _entries(cfg, rows)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
     index = np.arange(ent.prob.size, dtype=np.intp)

@@ -148,9 +148,9 @@ def test_criterion_6_formula_reduction(constants):
     _ok("criterion 6", f"reduction identity at 1000 float points (worst {worst:.1e}) and 100 exact points")
 
 
-def test_criterion_7_oracle_equivalence(table, constants):
+def test_criterion_7_oracle_equivalence(constants):
     # exact per-survivor-set coefficients: enumerator vs the closed-form model
-    enum = survivor_coefficients("paper", table)
+    enum = survivor_coefficients("paper")
     y0 = Fraction(1, 3)
     for surv in range(16):
         parties = frozenset(p for p in range(4) if (surv >> (3 - p)) & 1)
@@ -167,7 +167,7 @@ def test_criterion_7_oracle_equivalence(table, constants):
     for _ in range(20):
         eta = 10 ** rng.uniform(-3, 0)
         y0f = 10 ** rng.uniform(-7, -4)
-        res = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0f, mode="paper"), table)
+        res = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0f, mode="paper"))
         q1c = q1_identical(eta, NoiseParams(y0f), constants)
         e1c = e1_identical(eta, NoiseParams(y0f), constants)
         worst = max(worst, abs(float(res.q1) - q1c) / q1c, abs(float(res.e1) - e1c) / e1c)
@@ -179,14 +179,14 @@ def test_criterion_7_oracle_equivalence(table, constants):
     )
 
 
-def test_criterion_8_monte_carlo_consistency(table):
+def test_criterion_8_monte_carlo_consistency():
     cfg = TrialConfig(etas=(0.5,) * 4, y0=1e-5, mode="physical", trials=10_000_000, seed=20240)
     t0 = time.perf_counter()
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     exact = exact_enumerate(
-        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 10**5), mode="physical"), table
+        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 10**5), mode="physical")
     )
     q1 = float(exact.q1)
     sigma_q = math.sqrt(q1 * (1 - q1) / cfg.trials)
@@ -194,7 +194,7 @@ def test_criterion_8_monte_carlo_consistency(table):
     e1 = float(exact.e1)
     sigma_e = math.sqrt(e1 * (1 - e1) / tally.accepted)
     assert abs(tally.e1_hat - e1) <= 3 * sigma_e
-    rerun = run_trials(cfg, table)
+    rerun = run_trials(cfg)
     assert rerun == tally
     _ok(
         "criterion 8",
@@ -203,12 +203,12 @@ def test_criterion_8_monte_carlo_consistency(table):
     )
 
 
-def test_criterion_9_physical_vs_paper_accounting(table):
+def test_criterion_9_physical_vs_paper_accounting():
     noise = Fraction(602, 10**8)
     for eta_d, dist in ((0.145, 100.0), (0.93, 180.0)):
         eta = Fraction(transmittance(ChannelParams(0.2, dist / 2, eta_d))).limit_denominator(10**9)
-        paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=noise, mode="paper"), table)
-        phys = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=noise, mode="physical"), table)
+        paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=noise, mode="paper"))
+        phys = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=noise, mode="physical"))
         gap = (phys.q1 - paper.q1) / paper.q1
         assert 0 <= gap <= 0.02
     _ok("criterion 9", f"physical/paper gain gap {float(gap):.2e} at the sweep checkpoints (<= 2%)")

@@ -100,6 +100,13 @@ def test_keyrate_rejects_too_many_points(capsys):
     assert "more than 100000 points" in err
 
 
+def test_keyrate_search_limit_is_bounded(capsys):
+    # without loss the rate never falls, and the 10 km scan once ran to dmax
+    code, out, err = run(capsys, "keyrate", "--alpha", "0", "--dmax", "1e300", "--dstep", "1e299")
+    assert (code, out) == (1, "")
+    assert err == "error: secure-distance search limit 1e+300 km is beyond 1e+06 km\n"
+
+
 def test_enumerate_rejects_delta(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--eta", "0.1", "--delta", "5"])
@@ -107,6 +114,30 @@ def test_enumerate_rejects_delta(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--delta" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "catalog", "enumerate"])
+def test_format_flag_only_where_it_is_read(capsys, tmp_path, command):
+    # these commands print one layout; they once took the flag and ignored it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format csv" in captured.err
+    # a config file shared between commands may still carry the key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = csv\n")
+    assert run(capsys, command, "--config", str(cfg))[0] == 0
+
+
+def test_negative_seed_exits_1_naming_the_seed(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -3\n")
+    for given, seed in ((["--seed", "-1"], -1), (["--config", str(cfg)], -3)):
+        code, out, err = run(capsys, "simulate", "--trials", "10", *given)
+        assert (code, out) == (1, "")
+        assert err == f"error: seed must be non-negative, got {seed}\n"
 
 
 def test_simulate_rejects_delta_for_z_basis(capsys, tmp_path):
@@ -140,9 +171,9 @@ def test_enumerate_command(capsys, monkeypatch):
     modes = []
     enumerate_ = cli.exact_enumerate
 
-    def counted(cfg, table=None):
+    def counted(cfg):
         modes.append(cfg.mode)
-        return enumerate_(cfg, table)
+        return enumerate_(cfg)
 
     monkeypatch.setattr(cli, "exact_enumerate", counted)
     for mode, digest in _ENUMERATE_STDOUT_SHA256.items():

@@ -16,7 +16,6 @@ from wqkd.keyrate import (
     e1_identical,
     h2,
     key_rate,
-    key_rate_general,
     left_sum,
     q1_identical,
     secure_distance,
@@ -122,17 +121,6 @@ def test_key_rate():
     assert key_rate(2e-10, 0.0) == pytest.approx(2e-10)
     assert key_rate(2e-10, 0.5) == pytest.approx(-2e-10)
     assert key_rate(1.8e-10, 0.019) == pytest.approx(1.3e-10, rel=0.05)
-
-
-def test_key_rate_general_reduces_and_max_semantics():
-    qbers = [0.03] * 6
-    assert key_rate_general(1e-8, qbers, qbers) == pytest.approx(key_rate(1e-8, 0.03))
-    assert key_rate_general(1e-8, [0.0] * 6, [0.0] * 6) == pytest.approx(1e-8)
-    one_bad = [0.0] * 5 + [0.5]
-    assert key_rate_general(1e-8, one_bad, [0.0] * 6) == pytest.approx(0.0)
-    assert key_rate_general(1e-8, one_bad, one_bad) == pytest.approx(-1e-8)
-    with pytest.raises(ValueError):
-        key_rate_general(1e-8, [0.1] * 5, [0.1] * 6)
 
 
 def test_sweep_monotone_and_bounds():

@@ -75,33 +75,35 @@ def test_config_validation():
     for delta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="delta"):
             TrialConfig(basis="x", delta=delta)
+    with pytest.raises(ValueError, match="seed"):
+        TrialConfig(seed=-1)
     # boundary values and exact fractions stay valid
-    TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0))
+    TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0), seed=0)
     TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3))
 
 
-def test_enumerator_dark_only_case(table):
+def test_enumerator_dark_only_case():
     y0 = Fraction(1, 37)
     cfg = TrialConfig(etas=(Fraction(0),) * 4, y0=y0, mode="paper")
-    res = exact_enumerate(cfg, table)
+    res = exact_enumerate(cfg)
     assert res.q1 == 8 * y0**4 * (1 - y0) ** 12
     assert res.e1 == Fraction(1, 2)
     assert res.gain_cases[1:] == (0, 0, 0, 0)
 
 
-def test_enumerator_ideal_photons(table):
+def test_enumerator_ideal_photons():
     cfg = TrialConfig(etas=(Fraction(1),) * 4, y0=Fraction(0), mode="physical")
-    res = exact_enumerate(cfg, table)
+    res = exact_enumerate(cfg)
     assert res.q1 == Fraction(1, 256)
     assert res.e1 == 0
     assert res.gain_cases[:4] == (0, 0, 0, 0)
 
 
-def test_survivor_coefficients_match_model_exactly(table, constants):
+def test_survivor_coefficients_match_model_exactly(constants):
     """Every multilinear coefficient of the closed-form five-case model is
     recovered exactly by the independent enumerator, including the (15, 7)
     case-4 pair that breaks the error = gain/2 pattern."""
-    enum = survivor_coefficients("paper", table)
+    enum = survivor_coefficients("paper")
     y0 = Fraction(1, 3)
     for surv in range(16):
         parties = frozenset(p for p in range(4) if (surv >> (3 - p)) & 1)
@@ -116,43 +118,43 @@ def test_survivor_coefficients_match_model_exactly(table, constants):
     assert enum[frozenset()] == (Fraction(8), Fraction(4))
 
 
-def test_enumerator_equals_closed_forms_exactly(table, constants):
+def test_enumerator_equals_closed_forms_exactly(constants):
     eta = Fraction(29, 2000)
     y0 = Fraction(602, 10**8)
-    res = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"), table)
+    res = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"))
     assert res.q1 == q1_identical(eta, NoiseParams(y0), constants)
     assert res.e1 == e1_identical(eta, NoiseParams(y0), constants)
 
 
-def test_enumerator_asymmetric_channels(table, constants):
+def test_enumerator_asymmetric_channels(constants):
     etas = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(2, 5))
     y0 = Fraction(1, 10**4)
-    res = exact_enumerate(TrialConfig(etas=etas, y0=y0, mode="paper"), table)
+    res = exact_enumerate(TrialConfig(etas=etas, y0=y0, mode="paper"))
     cb = case_breakdown(Transmittances(*etas), NoiseParams(y0), constants)
     assert tuple(res.gain_cases) == tuple(cb.gain)
     assert tuple(res.error_cases) == tuple(cb.error)
 
 
-def test_physical_mode_dominates_paper_mode(table):
+def test_physical_mode_dominates_paper_mode():
     for eta, y0 in ((Fraction(1, 2), Fraction(1, 1000)), (Fraction(29, 2000), Fraction(602, 10**8))):
-        paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"), table)
-        phys = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"), table)
+        paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"))
+        phys = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"))
         assert phys.q1 >= paper.q1
         for g_p, g_f in zip(paper.gain_cases, phys.gain_cases):
             assert g_f >= g_p
 
 
-def test_physical_gap_vanishes_with_dark_counts(table):
+def test_physical_gap_vanishes_with_dark_counts():
     eta = Fraction(29, 2000)
     gaps = []
     for y0 in (Fraction(1, 10**4), Fraction(1, 10**5), Fraction(1, 10**6)):
-        paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"), table)
-        phys = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"), table)
+        paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"))
+        phys = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"))
         gaps.append((phys.q1 - paper.q1) / paper.q1)
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
-def test_enumerator_total_mass(table):
+def test_enumerator_total_mass():
     # the click distribution of every survivor configuration is normalized,
     # so weights alone must sum to one over inputs and survival subsets
     from wqkd.protocol import _party_bit, _z_outcomes
@@ -175,21 +177,21 @@ def test_enumerator_total_mass(table):
     assert total == 1
 
 
-def test_announcer_roles_are_symmetric_for_equal_channels(table):
+def test_announcer_roles_are_symmetric_for_equal_channels():
     eta, y0 = Fraction(2, 5), Fraction(1, 10**4)
-    base = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"), table)
+    base = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"))
     swapped = exact_enumerate(
-        TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper", announcers=(2, 3)), table
+        TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper", announcers=(2, 3))
     )
     assert swapped.q1 == base.q1
     assert swapped.e1 == base.e1
 
 
-def test_mc_agrees_with_enumerator(table):
+def test_mc_agrees_with_enumerator():
     cfg = TrialConfig(etas=(0.5,) * 4, y0=1e-4, mode="physical", trials=400_000, seed=11)
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     exact = exact_enumerate(
-        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 10**4), mode="physical"), table
+        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 10**4), mode="physical")
     )
     q1 = float(exact.q1)
     sigma = math.sqrt(q1 * (1 - q1) / cfg.trials)
@@ -200,9 +202,9 @@ def test_mc_agrees_with_enumerator(table):
         assert abs(tally.e1_hat - e1) <= 3 * sig_e
 
 
-def test_mc_ideal_point(table):
+def test_mc_ideal_point():
     cfg = TrialConfig(etas=(1.0,) * 4, y0=0.0, mode="physical", trials=300_000, seed=5)
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     q1 = 1 / 256
     sigma = math.sqrt(q1 * (1 - q1) / cfg.trials)
     assert abs(tally.q1_hat - q1) <= 3 * sigma
@@ -210,20 +212,20 @@ def test_mc_ideal_point(table):
     assert tally.per_case_accepted[4] == tally.accepted
 
 
-def test_mc_deterministic_across_chunk_boundaries(table):
+def test_mc_deterministic_across_chunk_boundaries():
     # 70k trials span two fixed-size chunks; reruns must agree bit for bit
     cfg = TrialConfig(etas=(0.6,) * 4, y0=1e-4, trials=70_000, seed=123)
-    t1 = run_trials(cfg, table)
-    t2 = run_trials(cfg, table)
+    t1 = run_trials(cfg)
+    t2 = run_trials(cfg)
     assert t1 == t2
-    other_seed = run_trials(TrialConfig(etas=(0.6,) * 4, y0=1e-4, trials=70_000, seed=124), table)
+    other_seed = run_trials(TrialConfig(etas=(0.6,) * 4, y0=1e-4, trials=70_000, seed=124))
     assert other_seed != t1
 
 
-def test_mc_multi_seed_agreement(table):
+def test_mc_multi_seed_agreement():
     # scaled version of the 3-sigma coverage contract across seeds
     exact = exact_enumerate(
-        TrialConfig(etas=(Fraction(2, 5),) * 4, y0=Fraction(1, 10**4), mode="physical"), table
+        TrialConfig(etas=(Fraction(2, 5),) * 4, y0=Fraction(1, 10**4), mode="physical")
     )
     q1 = float(exact.q1)
     trials = 150_000
@@ -231,26 +233,26 @@ def test_mc_multi_seed_agreement(table):
     inside = 0
     for seed in range(20):
         tally = run_trials(
-            TrialConfig(etas=(0.4,) * 4, y0=1e-4, mode="physical", trials=trials, seed=seed), table
+            TrialConfig(etas=(0.4,) * 4, y0=1e-4, mode="physical", trials=trials, seed=seed)
         )
         if abs(tally.q1_hat - q1) <= 3 * sigma:
             inside += 1
     assert inside >= 19
 
 
-def test_mc_single_trial(table):
-    tally = run_trials(TrialConfig(etas=(0.5,) * 4, trials=1, seed=9), table)
+def test_mc_single_trial():
+    tally = run_trials(TrialConfig(etas=(0.5,) * 4, trials=1, seed=9))
     assert tally.trials == 1
 
 
-def test_mc_paper_mode_excludes_bunched_events(table):
+def test_mc_paper_mode_excludes_bunched_events():
     cfg_paper = TrialConfig(etas=(0.9,) * 4, y0=5e-3, mode="paper", trials=150_000, seed=21)
     cfg_phys = TrialConfig(etas=(0.9,) * 4, y0=5e-3, mode="physical", trials=150_000, seed=21)
-    t_paper = run_trials(cfg_paper, table)
-    t_phys = run_trials(cfg_phys, table)
+    t_paper = run_trials(cfg_paper)
+    t_phys = run_trials(cfg_phys)
     assert t_paper.accepted <= t_phys.accepted
     exact = exact_enumerate(
-        TrialConfig(etas=(Fraction(9, 10),) * 4, y0=Fraction(5, 1000), mode="paper"), table
+        TrialConfig(etas=(Fraction(9, 10),) * 4, y0=Fraction(5, 1000), mode="paper")
     )
     q1 = float(exact.q1)
     sigma = math.sqrt(q1 * (1 - q1) / cfg_paper.trials)
@@ -265,7 +267,7 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
     # accepted pattern P containing its photon mask when darks fill P's other
     # slots and none of the 12 slots outside P fires
     cfg = TrialConfig(etas=etas, y0=y0, mode=mode)
-    ent = protocol._entries(cfg, protocol._live_rows(protocol._pattern_signature(table), None))
+    ent = protocol._entries(cfg, protocol._live_rows(None))
     photons_in = np.array([int(m).bit_count() for m in ent.mask])
     gain = err = 0.0
     for label, pats in table.patterns.items():
@@ -276,17 +278,17 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
             gain += w.sum()
             err += w[ent.error[inside]].sum()
     exact = exact_enumerate(
-        TrialConfig(etas=tuple(Fraction(e) for e in etas), y0=Fraction(y0), mode=mode), table
+        TrialConfig(etas=tuple(Fraction(e) for e in etas), y0=Fraction(y0), mode=mode)
     )
     assert gain == pytest.approx(float(exact.q1), rel=1e-12, abs=0)
     assert err == pytest.approx(float(sum(exact.error_cases)), rel=1e-12, abs=0)
 
 
-def test_mc_dense_dark_counts(table):
+def test_mc_dense_dark_counts():
     cfg = TrialConfig(etas=(0.5,) * 4, y0=1e-2, mode="physical", trials=300_000, seed=31)
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     exact = exact_enumerate(
-        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 100), mode="physical"), table
+        TrialConfig(etas=(Fraction(1, 2),) * 4, y0=Fraction(1, 100), mode="physical")
     )
     q1, e1 = float(exact.q1), float(exact.e1)
     assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
@@ -294,12 +296,12 @@ def test_mc_dense_dark_counts(table):
 
 
 @pytest.mark.parametrize("eta, y0", [(0, 0.2), (1, 1e-2)])
-def test_mc_boundary_transmittances(table, eta, y0):
+def test_mc_boundary_transmittances(eta, y0):
     # at eta 0 the live vacuum entries carry all the mass, so round-off must not
     # push the dead bucket below zero; at eta 1 only four-photon entries count
     cfg = TrialConfig(etas=(float(eta),) * 4, y0=y0, mode="physical", trials=100_000, seed=41)
-    tally = run_trials(cfg, table)
-    exact = exact_enumerate(TrialConfig(etas=(Fraction(eta),) * 4, y0=Fraction(y0), mode="physical"), table)
+    tally = run_trials(cfg)
+    exact = exact_enumerate(TrialConfig(etas=(Fraction(eta),) * 4, y0=Fraction(y0), mode="physical"))
     q1 = float(exact.q1)
     assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
     assert sum(tally.per_case_accepted) == tally.accepted <= tally.announced
@@ -313,20 +315,19 @@ def cleared_rows():
     protocol._live_rows.cache_clear()  # no test leaves its rows to the next
 
 
-def test_x_caches_hold_one_delay(table, monkeypatch, cleared_rows):
+def test_x_caches_hold_one_delay(monkeypatch, cleared_rows):
     monkeypatch.setattr(protocol, "_outcomes", lambda survivors, delta: ((None, 1.0, 0, True),))
-    signature = protocol._pattern_signature(table)
-    z_rows = protocol._live_rows(signature, None)
+    z_rows = protocol._live_rows(None)
     for delta in (0.1, 0.2, 0.3):
-        protocol._live_rows(signature, delta)  # a sweep: the oldest rows go first
+        protocol._live_rows(delta)  # a sweep: the oldest rows go first
     assert protocol._live_rows.cache_info()[1:] == (4, 2, 2)  # misses, maxsize, currsize
-    protocol._live_rows(signature, 0.3)
+    protocol._live_rows(0.3)
     assert protocol._live_rows.cache_info().hits == 1
-    assert protocol._live_rows(signature, None) is not z_rows  # evicted by the sweep, rebuilt
+    assert protocol._live_rows(None) is not z_rows  # evicted by the sweep, rebuilt
     assert protocol._live_rows.cache_info().misses == 5
 
 
-def test_z_and_x_rows_never_share_a_key(table, monkeypatch):
+def test_z_and_x_rows_never_share_a_key(monkeypatch):
     # rows are rebuilt on every miss; the real delta-0 X outcomes are computed once
     # here, and the sweep's other delay only has to push the Z rows out
     real = functools.cache(protocol._outcomes)
@@ -335,25 +336,25 @@ def test_z_and_x_rows_never_share_a_key(table, monkeypatch):
     x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
     assert z.delta == x.delta == 0.0
     protocol._live_rows.cache_clear()
-    x_cold = run_trials(x, table)
+    x_cold = run_trials(x)
     protocol._live_rows.cache_clear()
-    z_tally = run_trials(z, table)
-    assert run_trials(x, table) == x_cold
+    z_tally = run_trials(z)
+    assert run_trials(x) == x_cold
     assert protocol._live_rows.cache_info()[:2] == (0, 2)  # hits, misses: no X run got the Z rows
-    run_trials(dataclasses.replace(x, delta=0.3), table)
-    assert run_trials(z, table) == z_tally
+    run_trials(dataclasses.replace(x, delta=0.3))
+    assert run_trials(z) == z_tally
     # and back: the cache ends on real Z and delta-0 rows, as a run would leave it
-    assert run_trials(x, table) == x_cold
+    assert run_trials(x) == x_cold
     assert protocol._live_rows.cache_info().currsize == 2
 
 
-def test_x_basis_smoke(table):
+def test_x_basis_smoke():
     cfg = TrialConfig(etas=(1.0,) * 4, y0=0.0, basis="x", trials=30_000, seed=3)
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     assert tally.announced > 0
     rep = estimate(tally)
     assert "x basis" in rep.note
-    again = run_trials(cfg, table)
+    again = run_trials(cfg)
     assert again == tally
 
 
@@ -479,7 +480,7 @@ def test_x_basis_monte_carlo_matches_exact_oracle(table, etas, mode, announcers,
     )
     q1, e1 = _exact_x(cfg, table)
     assert pinned is None or (q1, e1) == pinned
-    tally = run_trials(cfg, table)
+    tally = run_trials(cfg)
     q1, e1 = float(q1), float(e1)
     assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
     assert abs(tally.e1_hat - e1) <= 3 * math.sqrt(e1 * (1 - e1) / tally.accepted)
@@ -616,26 +617,4 @@ def test_cached_click_terms_equal_the_walk_bit_for_bit(table):
     assert any(0 in c.etas and 1 in c.etas for c in configs)
     assert {c.mode for c in configs} == {"paper", "physical"}
     for cfg in configs + exact:
-        assert _same_bits(exact_enumerate(cfg, table), _walk_enumerate(cfg, table)), cfg
-
-
-def test_click_terms_follow_table_content(table):
-    cfg = TrialConfig(etas=(0.3, 0.5, 0.7, 0.9), y0=1e-3, mode="physical")
-    protocol._click_cache.cache_clear()
-    full = exact_enumerate(cfg, table)
-    patterns = dict(table.patterns)
-    patterns[0] = patterns[0][1:]
-    smaller = dataclasses.replace(table, patterns=patterns)
-    res = exact_enumerate(cfg, smaller)
-    assert _same_bits(res, _walk_enumerate(cfg, smaller))
-    assert res.q1 < full.q1
-    paper = dataclasses.replace(cfg, mode="paper")
-    assert _same_bits(exact_enumerate(paper, smaller), _walk_enumerate(paper, smaller))
-    # two signatures so far, one call each; the paper call on the smaller table hit
-    assert protocol._click_cache.cache_info()[:2] == (1, 2)  # hits, misses
-    # back on the full table, then on a copy with the same patterns: one signature, shared
-    assert exact_enumerate(cfg, table) == full
-    terms = protocol._click_cache(protocol._pattern_signature(table))
-    assert exact_enumerate(cfg, dataclasses.replace(table)) == full
-    assert protocol._click_cache.cache_info()[:] == (3, 3, 1, 1)  # hits, misses, maxsize, currsize
-    assert protocol._click_cache(protocol._pattern_signature(table)) is terms
+        assert _same_bits(exact_enumerate(cfg), _walk_enumerate(cfg, table)), cfg
