@@ -8,8 +8,8 @@ report which (spatial, bin) slots fired, not how many photons fed a slot.
 Distinguishability is judged on generic-phase support (a pattern counts as
 reachable for a state if its symbolic amplitude is nonzero for some delta).
 The three-Bell-state analyzer is the exception: its advertised rates hold at
-the calibrated operating point, so Bell rates collapse the phase to delta = 0
-exactly before comparing supports.
+the calibrated operating point, so the Bell rates are computed there only,
+with the phase collapsed to delta = 0 exactly before supports are compared.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .amplitude import Amplitude
-from .fock import FockState, Mode, ModeMap, Monomial, monomial, multiplicity_factor
+from .fock import FockState, Mode, ModeMap, Monomial, monomial
 from .qubits import W_LABELS, bell_state, encode_fock, w_state
 
 INPUT_MODES = ("a", "b", "c", "d")
@@ -112,12 +112,12 @@ def bell_analyzer() -> OpticalNetwork:
     return OpticalNetwork((interferometer_map("a", "b", "e", "f"),))
 
 
-def click_distribution(state: FockState, delta: float | None = None) -> dict[ClickSet, Fraction | float]:
-    """Probability of each clicked-slot set (monomials grouped by support)."""
-    out: dict[ClickSet, Fraction | float] = {}
+def click_distribution(state: FockState) -> dict[ClickSet, Fraction]:
+    """Exact probability of each clicked-slot set (monomials grouped by support)."""
+    out: dict[ClickSet, Fraction] = {}
     for mon, _ in state.terms():
         key = frozenset(mon)
-        p = state.pattern_probability(mon, delta)
+        p = state.pattern_probability(mon)
         out[key] = out.get(key, Fraction(0)) + p
     return out
 
@@ -197,20 +197,17 @@ def _derive_table() -> DetectionTable:
     return DetectionTable(patterns, per_pattern, probs, overall)
 
 
-def bell_success_rates(delta_zero: bool = True) -> dict[str, Fraction]:
+def bell_success_rates() -> dict[str, Fraction]:
     """Unique-slot-set success probability per Bell state on the three-state network.
 
     With delta pinned to zero (stabilized interferometer) the rates come out
-    1, 1/2, 1/2, 0 for psi+, psi-, phi+, phi-.  Without the collapse the phi+
-    and phi- supports merge and phi+ drops to zero as well.
+    1, 1/2, 1/2, 0 for psi+, psi-, phi+, phi-.
     """
     net = bell_analyzer()
     dists: dict[str, dict[ClickSet, Fraction]] = {}
     for kind in ("psi+", "psi-", "phi+", "phi-"):
         state = net.propagate(encode_fock(bell_state(kind), ("a", "b")))
-        if delta_zero:
-            state = state.collapse_phase()
-        dists[kind] = click_distribution(state) if delta_zero else _generic_distribution(state)
+        dists[kind] = click_distribution(state.collapse_phase())
     counts: dict[ClickSet, int] = {}
     for dist in dists.values():
         for key in dist:
@@ -219,23 +216,6 @@ def bell_success_rates(delta_zero: bool = True) -> dict[str, Fraction]:
         kind: sum((p for key, p in dist.items() if counts[key] == 1), Fraction(0))
         for kind, dist in dists.items()
     }
-
-
-def _generic_distribution(state: FockState) -> dict[ClickSet, Fraction]:
-    """Slot-set support at generic phase; per-set mass averaged over delta.
-
-    The delta average of |sum_k c_k phi^k|^2 is sum_k |c_k|^2, which is exact
-    and nonzero precisely on the symbolic support.
-    """
-    out: dict[ClickSet, Fraction] = {}
-    for mon, amp in state.terms():
-        mass = Fraction(0)
-        for k in amp.phase_powers():
-            piece = Amplitude({k: amp.coefficient(k)})
-            mass += piece.abs2()
-        key = frozenset(mon)
-        out[key] = out.get(key, Fraction(0)) + mass * multiplicity_factor(mon)
-    return out
 
 
 # Reference table: the four distinguishable states and their coincidence

@@ -39,28 +39,28 @@ EXIT_MISMATCH = 2
 EXIT_NO_RATE = 3
 EXIT_ORACLE = 4
 
-_DEFAULTS = {
-    "alpha": 0.2,
-    "eta_d": 0.145,
-    "y0": 6.02e-6,
-    "q": 1.0,
-    "delta": None,  # X basis only; a Z-basis simulate rejects any value
-    "dmin": 0.0,
-    "dmax": 300.0,
-    "dstep": 10.0,
-    "trials": 1_000_000,
-    "seed": 1,
-    "mode": "paper",
-    "basis": "z",
-    "eta": 0.0145,
-    "format": None,
-    "out": None,
-    "golden": None,
+# key: (float, int, str or the choices; default; the commands that take the
+# flag, None for all of them; help).  A config file may set any key for any
+# command.  Each subcommand lists its flags in this order, after --config.
+_OPTIONS = {
+    "out": (str, None, None, "output path (default stdout)"),
+    "format": (("csv", "text"), None, ("derive-table", "keyrate", "simulate"), "output format"),
+    "golden": (str, None, ("derive-table",), "golden table CSV to compare against"),
+    "alpha": (float, 0.2, ("keyrate",), None),
+    "eta_d": (float, 0.145, ("keyrate",), None),
+    "eta": (float, 0.0145, ("enumerate", "simulate"), "per-party transmittance (all equal)"),
+    "y0": (float, 6.02e-6, ("keyrate", "enumerate", "simulate"), None),
+    "q": (float, 1.0, ("keyrate",), None),
+    "dmin": (float, 0.0, ("keyrate",), None),
+    "dmax": (float, 300.0, ("keyrate",), None),
+    "dstep": (float, 10.0, ("keyrate",), None),
+    "mode": (("paper", "physical"), "paper", ("enumerate", "simulate"), None),
+    # the X-basis delay: the exact enumerator is Z-basis only, and a Z simulate rejects it
+    "delta": (float, None, ("simulate",), None),
+    "trials": (int, 1_000_000, ("simulate",), None),
+    "seed": (int, 1, ("simulate",), None),
+    "basis": (("z", "x"), "z", ("simulate",), None),
 }
-
-_FLOAT_KEYS = ("alpha", "eta_d", "y0", "q", "delta", "dmin", "dmax", "dstep", "eta")
-_INT_KEYS = ("trials", "seed")
-_CHOICES = {"format": ("csv", "text"), "mode": ("paper", "physical"), "basis": ("z", "x")}
 _MAX_POINTS = 100_000  # keyrate sweep length; also stops a step too small to advance
 
 
@@ -75,42 +75,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="wqkd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, formatted=False):
+    for name, (_, command_help) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command_help)
         sp.add_argument("--config", type=str, help="key=value file; flags override it")
-        sp.add_argument("--out", type=str, help="output path (default stdout)")
-        if formatted:  # only the commands that read it take the flag
-            sp.add_argument("--format", choices=_CHOICES["format"], help="output format")
-
-    sp = sub.add_parser("derive-table", help="derive the distinguishable-state table")
-    common(sp, formatted=True)
-    sp.add_argument("--golden", type=str, help="golden table CSV to compare against")
-
-    sp = sub.add_parser("verify", help="run the exact identity suites")
-    common(sp)
-
-    sp = sub.add_parser("catalog", help="print the 16-state basis as signed ket sums")
-    common(sp)
-
-    sp = sub.add_parser("keyrate", help="key-rate sweep over end-to-end distance")
-    common(sp, formatted=True)
-    for flag in ("--alpha", "--eta-d", "--y0", "--q", "--dmin", "--dmax", "--dstep"):
-        sp.add_argument(flag, type=float)
-
-    for name in ("enumerate", "simulate"):
-        sp = sub.add_parser(
-            name,
-            help="exact protocol enumeration" if name == "enumerate" else "seeded Monte-Carlo run",
-        )
-        common(sp, formatted=name == "simulate")
-        sp.add_argument("--eta", type=float, help="per-party transmittance (all equal)")
-        sp.add_argument("--y0", type=float)
-        sp.add_argument("--mode", choices=_CHOICES["mode"])
-        if name == "simulate":  # the exact enumerator is Z-basis only, so no delay
-            sp.add_argument("--delta", type=float)
-            sp.add_argument("--trials", type=int)
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--basis", choices=_CHOICES["basis"])
+        for key, (kind, _, commands, flag_help) in _OPTIONS.items():
+            if commands is None or name in commands:
+                choices = kind if isinstance(kind, tuple) else None
+                flag = f"--{key.replace('_', '-')}"
+                sp.add_argument(flag, type=None if choices else kind, choices=choices, help=flag_help)
     return p
 
 
@@ -124,34 +96,42 @@ def _read_config(path: str) -> dict:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ValueError(f"unknown config key: {key}")
         out[key] = value
     return out
 
 
+def _config_value(key: str, value: str):
+    """A config-file value converted by its flag's type; 1e3 and 7.0 count as integers."""
+    kind = _OPTIONS[key][0]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"config key {key} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    if kind is not int:
+        return kind(value)
+    try:
+        return int(value)  # exact: a float would round a seed above 2**53
+    except ValueError:
+        number = float(value)
+    if int(number) != number:  # the flags reject 1.9 too
+        raise ValueError(f"config key {key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _merge(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
+    if args.config:
         for key, value in _read_config(args.config).items():
-            if key in _FLOAT_KEYS:
-                merged[key] = float(value)
-            elif key in _INT_KEYS:
-                number = float(value)
-                merged[key] = int(number)
-                if merged[key] != number:  # the flags reject 1.9 too
-                    raise ValueError(f"config key {key} must be an integer, got {value!r}")
-            elif key in _CHOICES and value not in _CHOICES[key]:
-                raise ValueError(f"config key {key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
-            else:
-                merged[key] = value
+            merged[key] = _config_value(key, value)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
-    for key in _FLOAT_KEYS:
-        if merged[key] is not None and not math.isfinite(merged[key]):
+    for key, (kind, _, _, _) in _OPTIONS.items():
+        if kind is float and merged[key] is not None and not math.isfinite(merged[key]):
             raise ValueError(f"{key} must be a finite number, got {merged[key]}")
     return merged
 
@@ -392,24 +372,25 @@ def cmd_simulate(opts: dict) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "derive-table": (cmd_derive_table, "derive the distinguishable-state table"),
+    "verify": (cmd_verify, "run the exact identity suites"),
+    "catalog": (cmd_catalog, "print the 16-state basis as signed ket sums"),
+    "keyrate": (cmd_keyrate, "key-rate sweep over end-to-end distance"),
+    "enumerate": (cmd_enumerate, "exact protocol enumeration"),
+    "simulate": (cmd_simulate, "seeded Monte-Carlo run"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         opts = _merge(args)
     except (ValueError, OverflowError, OSError) as exc:  # int(float("inf")) overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "derive-table": cmd_derive_table,
-        "verify": cmd_verify,
-        "catalog": cmd_catalog,
-        "keyrate": cmd_keyrate,
-        "enumerate": cmd_enumerate,
-        "simulate": cmd_simulate,
-    }
     try:
-        return handlers[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except (ValueError, OSError) as exc:  # OSError: a missing --golden or --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

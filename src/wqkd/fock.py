@@ -19,23 +19,19 @@ import numpy as np
 from .amplitude import Amplitude, _lift, _reduce, _ring_mul, accumulate
 from .errors import UnmappedMode
 
-SPATIAL_ORDER = "abcdefghjklmsuvw"
-_SPATIAL_INDEX = {c: i for i, c in enumerate(SPATIAL_ORDER)}
+SPATIAL_ORDER = tuple("abcdefghjklmsuvw")  # alphabetical, so plain Mode order is the slot order
 
 
 class Mode(NamedTuple):
     spatial: str
     bin: int
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_SPATIAL_INDEX[self.spatial], self.bin)
-
     def __str__(self) -> str:
         return f"{self.spatial}{self.bin}"
 
 
 def mode(spatial: str, t: int) -> Mode:
-    if spatial not in _SPATIAL_INDEX:
+    if spatial not in SPATIAL_ORDER:
         raise ValueError(f"unknown spatial mode {spatial!r}")
     if t < 0:
         raise ValueError("time bin must be non-negative")
@@ -46,7 +42,7 @@ Monomial = tuple[Mode, ...]
 
 
 def monomial(*modes: Mode) -> Monomial:
-    return tuple(sorted(modes, key=Mode.sort_key))
+    return tuple(sorted(modes))
 
 
 def multiplicity_factor(mon: Monomial) -> int:
@@ -264,7 +260,7 @@ def _slot_images(mm: "ModeMap", inputs: set[Mode]) -> tuple[list[Mode], int, dic
         (amp.coefficient(k)[4] for img in raw.values() for _, amp in img for k in amp.phase_powers()),
         default=0,
     )
-    slots = sorted({om for img in raw.values() for om, _ in img}, key=Mode.sort_key)
+    slots = sorted({om for img in raw.values() for om, _ in img})
     code = {om: i for i, om in enumerate(slots)}
     images = []
     for img in raw.values():

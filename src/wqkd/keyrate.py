@@ -43,6 +43,8 @@ class ChannelParams:
     eta_d: float = 0.145
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.arm_length_km)):  # nan would pass the sign checks
+            raise ValueError(f"alpha and arm length must be finite, got {self.alpha} and {self.arm_length_km}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if self.arm_length_km < 0:

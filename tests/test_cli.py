@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 
 import pytest
@@ -343,6 +344,72 @@ def test_config_file_integral_float_count_is_accepted(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", "--config", str(cfg))
     assert code == 0
     assert "trials=1000" in out and "seed=7" in out
+
+
+def test_config_file_integer_is_exact(capsys, tmp_path):
+    # a float would round this seed to 12345678901234567168
+    seed = "12345678901234567891"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = {seed}\n")
+    from_file = run(capsys, "simulate", "--trials", "1000", "--config", str(cfg))
+    assert f"seed={seed}\n" in from_file[1]
+    assert from_file == run(capsys, "simulate", "--trials", "1000", "--seed", seed)
+
+
+# Each subcommand's flags in order, with their type or choices and their
+# default (None: the command picks, or the value is optional).
+_SURFACE = {
+    "derive-table": [
+        ("--config", str, None),
+        ("--out", str, None),
+        ("--format", ("csv", "text"), None),
+        ("--golden", str, None),
+    ],
+    "verify": [("--config", str, None), ("--out", str, None)],
+    "catalog": [("--config", str, None), ("--out", str, None)],
+    "keyrate": [
+        ("--config", str, None),
+        ("--out", str, None),
+        ("--format", ("csv", "text"), None),
+        ("--alpha", float, 0.2),
+        ("--eta-d", float, 0.145),
+        ("--y0", float, 6.02e-6),
+        ("--q", float, 1.0),
+        ("--dmin", float, 0.0),
+        ("--dmax", float, 300.0),
+        ("--dstep", float, 10.0),
+    ],
+    "enumerate": [
+        ("--config", str, None),
+        ("--out", str, None),
+        ("--eta", float, 0.0145),
+        ("--y0", float, 6.02e-6),
+        ("--mode", ("paper", "physical"), "paper"),
+    ],
+    "simulate": [
+        ("--config", str, None),
+        ("--out", str, None),
+        ("--format", ("csv", "text"), None),
+        ("--eta", float, 0.0145),
+        ("--y0", float, 6.02e-6),
+        ("--mode", ("paper", "physical"), "paper"),
+        ("--delta", float, None),
+        ("--trials", int, 1_000_000),
+        ("--seed", int, 1),
+        ("--basis", ("z", "x"), "z"),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(_SURFACE)
+    for name, expected in _SURFACE.items():
+        defaults = cli._merge(parser.parse_args([name]))
+        flags = [a for a in commands.choices[name]._actions if a.dest != "help"]
+        surface = [(a.option_strings[0], tuple(a.choices) if a.choices else a.type, defaults.get(a.dest)) for a in flags]
+        assert surface == expected, name
 
 
 def test_usage_error_exit_code(capsys):

@@ -25,16 +25,16 @@ _FLOATS = st.one_of(
 )
 _MAX_TRIALS = 20_000
 _MAX_SWEEP = 2000
-_CHANNEL = {"eta": _FLOATS, "y0": _FLOATS, "mode": st.sampled_from(cli._CHOICES["mode"])}
+_CHANNEL = {"eta": _FLOATS, "y0": _FLOATS, "mode": st.sampled_from(cli._OPTIONS["mode"][0])}
 _SIMULATE = dict(
     _CHANNEL,
     trials=st.integers(max_value=_MAX_TRIALS),
     seed=st.integers(-(2**70), 2**70),
     delta=_FLOATS,
-    format=st.sampled_from(cli._CHOICES["format"]),
+    format=st.sampled_from(cli._OPTIONS["format"][0]),
 )
 _KEYRATE = {key: _FLOATS for key in ("alpha", "eta_d", "y0", "q", "dmin", "dmax", "dstep")}
-_KEYRATE["format"] = st.sampled_from(cli._CHOICES["format"])
+_KEYRATE["format"] = st.sampled_from(cli._OPTIONS["format"][0])
 
 
 @st.composite
@@ -42,7 +42,7 @@ def _invocation(draw, argv, keys):
     """The command line and config-file text: each drawn value is a flag or a file line."""
     values = {key: draw(st.none() | strategy) for key, strategy in keys.items()}
     if argv[0] == "keyrate":
-        dmin, dmax, dstep = (cli._DEFAULTS[k] if values[k] is None else values[k] for k in ("dmin", "dmax", "dstep"))
+        dmin, dmax, dstep = (cli._OPTIONS[k][1] if values[k] is None else values[k] for k in ("dmin", "dmax", "dstep"))
         finite = all(map(math.isfinite, (dmin, dmax, dstep)))
         if finite and 0 <= dmin <= dmax and dstep > 0 and (dmax - dmin) / dstep > _MAX_SWEEP:
             values["dmax"] = dmin + _MAX_SWEEP * dstep

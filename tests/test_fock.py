@@ -18,8 +18,9 @@ def a0() -> Mode:
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        mode("i", 0)  # label i is not in the alphabet
+    for label in ("i", "", "ab"):  # i is not in the alphabet; "" and "ab" are substrings of it
+        with pytest.raises(ValueError):
+            mode(label, 0)
     with pytest.raises(ValueError):
         mode("a", -1)
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqkd.errors import NoPositiveRate, ZeroGain
 from wqkd.keyrate import (
@@ -22,6 +24,7 @@ from wqkd.keyrate import (
     sweep,
     transmittance,
 )
+from wqkd.protocol import TrialConfig
 
 K = AnalyzerConstants(Fraction(3, 64), Fraction(1, 64))
 
@@ -43,6 +46,59 @@ def test_param_validation():
         Transmittances(0.5, 0.5, 0.5, 1.5)
     with pytest.raises(ValueError):
         RateParams(0.0)
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 1e300, -1e300, 5e-324)),
+    st.floats(0, 1),  # in range for most fields, so examples also build objects
+)
+
+
+def _finite(*values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+# each class: how to build it from drawn values, and what its fields must satisfy
+_PARAMETERS = {
+    "ChannelParams": (
+        lambda draw: ChannelParams(draw(_NUMBERS), draw(_NUMBERS), draw(_NUMBERS)),
+        lambda c: _finite(c.alpha, c.arm_length_km) and c.alpha >= 0 and c.arm_length_km >= 0 and 0 < c.eta_d <= 1,
+    ),
+    "NoiseParams": (lambda draw: NoiseParams(draw(_NUMBERS)), lambda n: 0 <= n.y0 < 1),
+    "RateParams": (lambda draw: RateParams(draw(_NUMBERS)), lambda r: 0 < r.q <= 1),
+    "Transmittances": (
+        lambda draw: Transmittances(*(draw(_NUMBERS) for _ in range(4))),
+        lambda t: all(0 <= eta <= 1 for eta in t),
+    ),
+    "TrialConfig": (
+        lambda draw: TrialConfig(
+            etas=tuple(draw(_NUMBERS) for _ in range(4)),
+            y0=draw(_NUMBERS),
+            trials=draw(st.integers()),
+            seed=draw(st.integers()),
+            delta=draw(_NUMBERS),
+        ),
+        lambda c: all(0 <= eta <= 1 for eta in c.etas)
+        and 0 <= c.y0 < 1
+        and _finite(c.delta)
+        and c.trials >= 1
+        and c.seed >= 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARAMETERS))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parameters_are_finite_and_in_range_or_raise(name, data):
+    # a nan alpha once built a channel whose transmittance was nan
+    build, valid = _PARAMETERS[name]
+    try:
+        params = build(data.draw)
+    except ValueError:
+        return
+    assert valid(params), params
 
 
 def test_h2():
