@@ -20,13 +20,15 @@ index), so a tally depends only on the seed and the trial count.  A chunk
 draws its trial counts over the live (input class, photon outcome) entries
 and one dead bucket of outcomes that are never announced, then its dark
 clicks sparsely: a binomial count over the chunk's slots, then that many
-distinct positions.
+distinct positions.  Trials are tallied per entry; only the trials that a
+dark click hits are resolved one by one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -87,6 +89,11 @@ class TrialConfig:
             raise ValueError(f"delay delta must be finite, got {self.delta}")
         if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            # a float or a bool is an integer only by accident of its value
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
         if self.seed < 0:
@@ -446,44 +453,54 @@ def run_trials(cfg: TrialConfig) -> Tally:
     """Seeded Monte-Carlo realization of the protocol model.
 
     Trial t lives in chunk t // 65536; the module docstring says what a chunk
-    draws.  A tally ignores trial order, so each chunk expands its entry
-    counts into trials in entry order, live trials first.
+    draws.  A tally ignores trial order, so trials are counted per entry: a
+    chunk's live trials are its entry counts in entry order, and only the
+    trials that a dark click hits are resolved one by one.
     """
     # a Z configuration carries delta 0.0, so the Z rows must not key on it
     rows = _live_rows(cfg.delta if cfg.basis == "x" else None)
     ent = _entries(cfg, rows)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
-    index = np.arange(ent.prob.size, dtype=np.intp)
+    # tally cell of entry i at label hit h, at cell[i * hits.size + h]: 0 unannounced,
+    # 1 announced and rejected, 2 + k accepted in photon case k, 7 + k accepted in error
+    hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))  # every label_bit value
+    accepted = (ent.accepts[:, None] & hits) != 0
+    cell = np.where(accepted, (2 + ent.photons + 5 * ent.error)[:, None], hits != 0).ravel()
+    no_dark = cell[np.arange(ent.prob.size) * hits.size + rows.label_bit[ent.mask]]
     y0 = float(cfg.y0)
-    announced_n = 0
-    case_acc = np.zeros(5, dtype=np.int64)
-    case_err = np.zeros(5, dtype=np.int64)
+    counts = np.zeros(ent.prob.size, dtype=np.int64)  # live trials per entry, all chunks
+    cells = np.zeros(12, dtype=np.int64)  # trials per tally cell; the no-dark cells come last
     for chunk in range((cfg.trials + _CHUNK - 1) // _CHUNK):
         n = min(_CHUNK, cfg.trials - chunk * _CHUNK)
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[cfg.seed, chunk])))
         # trials in the dead bucket (the last count) are never announced
-        entry = np.repeat(index, gen.multinomial(n, pvals)[:-1])
-        click = ent.mask[entry]
+        live = gen.multinomial(n, pvals)[:-1]
+        counts += live
         darks = gen.binomial(N_SLOTS * n, y0)
-        if darks:
-            pos = gen.choice(N_SLOTS * n, darks, replace=False, shuffle=False)
-            pos = pos[pos < N_SLOTS * entry.size]  # live trials come first
-            np.bitwise_or.at(click, pos // N_SLOTS, np.left_shift(1, pos % N_SLOTS).astype(np.uint32))
-        hit = rows.label_bit[click]
-        announced = np.flatnonzero(hit)
-        announced_n += announced.size
-        announced_entry = entry[announced]
-        accepted = announced_entry[(hit[announced] & ent.accepts[announced_entry]) != 0]
-        case_acc += np.bincount(ent.photons[accepted], minlength=5)
-        case_err += np.bincount(ent.photons[accepted[ent.error[accepted]]], minlength=5)
+        if not darks:
+            continue
+        # positions lie below N_SLOTS * _CHUNK = 2**20, and int32 sorts faster
+        pos = gen.choice(N_SLOTS * n, darks, replace=False, shuffle=False).astype(np.int32)
+        pos.sort()
+        # live trials come first, in entry order: entry i's darks are pos[bounds[i]:bounds[i + 1]]
+        bounds = np.searchsorted(pos, N_SLOTS * np.cumsum(np.append(0, live), dtype=np.int32))
+        trial, slot = np.divmod(pos[: bounds[-1]], N_SLOTS)
+        first = np.flatnonzero(np.diff(trial, prepend=-1) != 0)  # each dark-hit trial's first dark
+        entry = np.repeat(np.arange(live.size), np.diff(bounds))[first]
+        dark = np.bitwise_or.reduceat(np.left_shift(1, slot), first)
+        # a dark-hit trial leaves its entry's no-dark cell for the cell of its clicks
+        cells += np.bincount(cell[entry * hits.size + rows.label_bit[ent.mask[entry] | dark]], minlength=12)
+        cells -= np.bincount(no_dark[entry], minlength=12)
+    np.add.at(cells, no_dark, counts)
+    case_acc = cells[2:7] + cells[7:]
     return Tally(
         cfg,
         cfg.trials,
-        announced_n,
+        int(cells[1:].sum()),
         int(case_acc.sum()),
-        int(case_err.sum()),
+        int(cells[7:].sum()),
         tuple(int(x) for x in case_acc),
-        tuple(int(x) for x in case_err),
+        tuple(int(x) for x in cells[7:]),
     )
 
 

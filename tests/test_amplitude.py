@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqkd.amplitude import Amplitude, accumulate
 from wqkd.errors import MixedPhaseWithoutDelta
@@ -39,23 +41,29 @@ def test_accumulate_drops_zero_sums():
     assert terms == {"other": Amplitude.one()}
 
 
-def test_ring_laws_randomized():
-    rng = random.Random(2024)
-    for _ in range(300):
-        a, b, c = (rand_amp(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+# as rand_amp draws them: up to 3 phase powers, each with a small (p, q, r, s, h)
+_AMPLITUDES = st.dictionaries(
+    st.integers(-3, 3),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 5)),
+    max_size=3,
+).map(Amplitude)
 
 
-def test_canonical_idempotence():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = rand_amp(rng)
-        rebuilt = Amplitude({k: a.coefficient(k) for k in a.phase_powers()})
-        assert rebuilt == a
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_AMPLITUDES, _AMPLITUDES, _AMPLITUDES)
+def test_ring_laws_randomized(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_AMPLITUDES)
+def test_canonical_idempotence(a):
+    rebuilt = Amplitude({k: a.coefficient(k) for k in a.phase_powers()})
+    assert rebuilt == a
 
 
 def test_phase_multiplication_adds_powers():

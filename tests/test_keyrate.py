@@ -55,8 +55,16 @@ _NUMBERS = st.one_of(
 )
 
 
+# integer fields also get floats, integral ones included, and bools
+_INTEGERS = st.one_of(st.integers(), st.integers().map(float), st.floats(), st.booleans())
+
+
 def _finite(*values) -> bool:
     return all(map(math.isfinite, values))
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # each class: how to build it from drawn values, and what its fields must satisfy
@@ -75,14 +83,16 @@ _PARAMETERS = {
         lambda draw: TrialConfig(
             etas=tuple(draw(_NUMBERS) for _ in range(4)),
             y0=draw(_NUMBERS),
-            trials=draw(st.integers()),
-            seed=draw(st.integers()),
+            trials=draw(_INTEGERS),
+            seed=draw(_INTEGERS),
             delta=draw(_NUMBERS),
         ),
         lambda c: all(0 <= eta <= 1 for eta in c.etas)
         and 0 <= c.y0 < 1
         and _finite(c.delta)
+        and _integer(c.trials)
         and c.trials >= 1
+        and _integer(c.seed)
         and c.seed >= 0,
     ),
 }

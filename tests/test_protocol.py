@@ -3,10 +3,12 @@ import functools
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqkd import protocol
 from wqkd.amplitude import Amplitude
@@ -77,6 +79,9 @@ def test_config_validation():
             TrialConfig(basis="x", delta=delta)
     with pytest.raises(ValueError, match="seed"):
         TrialConfig(seed=-1)
+    for field, value in (("trials", 1.5), ("trials", 1000.0), ("trials", True), ("seed", 1.5), ("seed", False)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrialConfig(**{field: value})
     # boundary values and exact fractions stay valid
     TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0), seed=0)
     TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3))
@@ -306,6 +311,34 @@ def test_mc_boundary_transmittances(eta, y0):
     assert abs(tally.q1_hat - q1) <= 3 * math.sqrt(q1 * (1 - q1) / cfg.trials)
     assert sum(tally.per_case_accepted) == tally.accepted <= tally.announced
     assert tally.per_case_accepted[4 * eta] == tally.accepted  # no photon or all four survive
+
+
+def test_sampler_equals_per_trial_reference_on_grid(reference_run_trials):
+    # 65537 trials end in a one-trial chunk; y0 0.2 hits most live trials
+    # with several darks; delta 0 shares the X rows with the other X tests
+    grid = product(
+        "zx", ("paper", "physical"), (0, 6.02e-6, 1e-2, 0.2), (0, 0.0145, 0.5, 1), (1, 65537), ((0, 1), (2, 3))
+    )
+    for seed, (basis, mode, y0, eta, trials, announcers) in enumerate(grid):
+        cfg = TrialConfig((eta,) * 4, y0, mode, basis, announcers, trials, seed)
+        assert run_trials(cfg) == reference_run_trials(cfg), cfg
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    etas=st.tuples(*[st.floats(0, 1)] * 4),
+    y0=st.floats(0, 0.3),
+    mode=st.sampled_from(("paper", "physical")),
+    basis=st.sampled_from("zx"),
+    announcers=st.sampled_from(list(permutations(range(4), 2))),
+    trials=st.integers(1, 200_000),
+    seed=st.integers(0, 2**32),
+)
+def test_sampler_equals_per_trial_reference(
+    reference_run_trials, etas, y0, mode, basis, announcers, trials, seed
+):
+    cfg = TrialConfig(etas, y0, mode, basis, announcers, trials, seed)
+    assert run_trials(cfg) == reference_run_trials(cfg)
 
 
 @pytest.fixture
