@@ -108,7 +108,7 @@ def _cstr(a: _Coef) -> str:
 class Amplitude:
     """An exact element of Z[i, 1/sqrt(2)][phi, phi^-1]."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, _Coef] | None = None, _canonical: bool = False):
         if terms is None:
@@ -117,7 +117,6 @@ class Amplitude:
             terms = {k: _reduce(*c) for k, c in terms.items()}
             terms = {k: c for k, c in terms.items() if c != _ZERO_COEF}
         self._terms = terms
-        self._hash: int | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -154,11 +153,6 @@ class Amplitude:
         if not isinstance(other, Amplitude):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -81,13 +81,10 @@ class OpticalNetwork:
     stages: tuple[ModeMap, ...]
 
     def propagate(self, state: FockState) -> FockState:
-        return state.apply_mode_map(self.composed_map())
-
-    def composed_map(self) -> ModeMap:
-        return self._composed
+        return state.apply_mode_map(self.composed_map)
 
     @functools.cached_property
-    def _composed(self) -> ModeMap:
+    def composed_map(self) -> ModeMap:
         return functools.reduce(ModeMap.compose, self.stages)
 
 
@@ -165,15 +162,11 @@ def derive_detection_table(cache: bool = True) -> DetectionTable:
     fresh derivation, which then becomes the memo.
     """
     if not cache:
-        _default_table.cache_clear()
-    return _default_table()
-
-
-@functools.cache
-def _default_table() -> DetectionTable:
+        _derive_table.cache_clear()
     return _derive_table()
 
 
+@functools.cache
 def _derive_table() -> DetectionTable:
     outputs = {label: propagate_w_state(label) for label in range(16)}
     support: dict[int, set[Monomial]] = {}

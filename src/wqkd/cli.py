@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: derive-table, verify, keyrate, enumerate, simulate.  Every
-command is deterministic given its flags and seed; outputs carry a
+Subcommands: derive-table, verify, catalog, keyrate, enumerate, simulate.
+Every command is deterministic given its flags and seed; outputs carry a
 parameter-echo header.  Exit codes: 0 success, 1 usage error, 2 verification
 mismatch, 3 no positive key rate, 4 oracle disagreement.
 """
@@ -319,9 +319,7 @@ def cmd_simulate(opts: dict) -> int:
     )
     tally = run_trials(cfg)
     report = estimate(tally)
-    exact = None
-    if cfg.basis == "z":
-        exact = exact_enumerate(TrialConfig(etas=cfg.etas, y0=y0, mode=cfg.mode))
+    exact = exact_enumerate(cfg) if cfg.basis == "z" else None
     header = (
         f"# wqkd simulate mode={cfg.mode} basis={cfg.basis} eta={eta} y0={y0} "
         f"trials={cfg.trials} seed={cfg.seed}"

@@ -110,18 +110,10 @@ class FockState:
             accumulate(out, m, a)
         return FockState.__new_canonical(out)
 
-    def __sub__(self, other: FockState) -> FockState:
-        return self + other.scaled(Amplitude.gauss(-1))
-
     def scaled(self, amp: Amplitude | int) -> FockState:
         if isinstance(amp, int):
             amp = Amplitude.gauss(amp)
         return FockState({m: a * amp for m, a in self._terms.items()})
-
-    def __mul__(self, amp: Amplitude | int) -> FockState:
-        return self.scaled(amp)
-
-    __rmul__ = __mul__
 
     def tensor(self, other: FockState) -> FockState:
         out: dict[Monomial, Amplitude] = {}

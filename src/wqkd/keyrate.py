@@ -52,9 +52,6 @@ class ChannelParams:
         if not 0 < self.eta_d <= 1:
             raise ValueError("detector efficiency must lie in (0, 1]")
 
-    def with_arm_length(self, l_km: float) -> ChannelParams:
-        return ChannelParams(self.alpha, l_km, self.eta_d)
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -229,7 +226,7 @@ class SweepRow:
 
 def _point(c: ChannelParams, n: NoiseParams, k: AnalyzerConstants, p: RateParams, d_km: float) -> SweepRow:
     # The distance axis is end-to-end: each arm is half of it.
-    eta = transmittance(c.with_arm_length(d_km / 2))
+    eta = transmittance(ChannelParams(c.alpha, d_km / 2, c.eta_d))
     q1 = q1_identical(eta, n, k)
     e1 = e1_identical(eta, n, k) if q1 > 0 else 0.0
     return SweepRow(d_km, eta, float(q1), float(e1), key_rate(float(q1), float(e1), p))
@@ -251,9 +248,8 @@ def secure_distance(
     k: AnalyzerConstants,
     p: RateParams = RateParams(),
     d_max: float = 2000.0,
-    tol_km: float = 0.1,
 ) -> float | None:
-    """Largest end-to-end distance with R0 > 0, to within tol_km.
+    """Largest end-to-end distance with R0 > 0, to within 0.1 km.
 
     Returns None when the rate never crosses zero inside [0, d_max] (the
     sweep-limit sentinel; this is the y0 = 0 situation).
@@ -273,7 +269,7 @@ def secure_distance(
         d += step
     if hi is None:
         return None
-    while hi - lo > tol_km:
+    while hi - lo > 0.1:
         mid = (lo + hi) / 2
         if _point(c, n, k, p, mid).r0 > 0:
             lo = mid

@@ -87,13 +87,14 @@ class TrialConfig:
             raise ValueError(f"dark-count probability y0 must lie in [0, 1), got {self.y0}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delay delta must be finite, got {self.delta}")
-        if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
-            raise ValueError("announcers must be two distinct party indices")
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
+        integers = [("trials", self.trials), ("seed", self.seed)]
+        integers += [(f"announcers[{i}]", r) for i, r in enumerate(self.announcers)]
+        for name, value in integers:
             # a float or a bool is an integer only by accident of its value
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
+            raise ValueError("announcers must be two distinct party indices")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
         if self.seed < 0:
@@ -117,7 +118,7 @@ def _survivor_state(survivors: tuple[tuple[int, int], ...], basis: str) -> FockS
     propagated through these images.
     """
     root = Amplitude.gauss(1, 0, 1)
-    composed = w_analyzer().composed_map()
+    composed = w_analyzer().composed_map
     images = {}
     for party, bit in survivors:
         sp = INPUT_MODES[party]
@@ -182,7 +183,6 @@ def _sift(bits: int, cfg: TrialConfig) -> tuple[tuple[int, ...], bool]:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    mode: str
     q1: float | Fraction
     e1: float | Fraction | None
     gain_cases: tuple
@@ -301,7 +301,7 @@ def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
     total_gain = left_sum(gain)
     total_err = left_sum(err)
     e1 = None if total_gain == 0 else total_err / total_gain
-    return EnumerationResult(cfg.mode, total_gain, e1, tuple(gain), tuple(err))
+    return EnumerationResult(total_gain, e1, tuple(gain), tuple(err))
 
 
 def survivor_coefficients(mode: str = "paper") -> dict[frozenset[int], tuple[Fraction, Fraction]]:
@@ -514,9 +514,10 @@ class EstimateReport:
     note: str = ""
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     if n == 0:
         return (0.0, 1.0)
+    z = 1.959963984540054  # two-sided 95%
     p = successes / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom

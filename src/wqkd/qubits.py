@@ -47,10 +47,6 @@ class QubitState:
     def items(self):
         return sorted(self._amps.items())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._amps
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QubitState):
             return NotImplemented
@@ -64,18 +60,10 @@ class QubitState:
             accumulate(out, b, a)
         return QubitState(self.n, out)
 
-    def __sub__(self, other: QubitState) -> QubitState:
-        return self + other.scaled(-1)
-
     def scaled(self, amp: Amplitude | int) -> QubitState:
         if isinstance(amp, int):
             amp = Amplitude.gauss(amp)
         return QubitState(self.n, {b: a * amp for b, a in self._amps.items()})
-
-    def __mul__(self, amp: Amplitude | int) -> QubitState:
-        return self.scaled(amp)
-
-    __rmul__ = __mul__
 
     def tensor(self, other: QubitState) -> QubitState:
         out: dict[int, Amplitude] = {}

@@ -147,7 +147,7 @@ def suite_isometries() -> tuple[bool, str]:
         for i, stage in enumerate(net.stages):
             if not stage.is_isometry():
                 return False, f"{name} analyzer stage {i + 1} is not an isometry"
-        if not net.composed_map().is_isometry():
+        if not net.composed_map.is_isometry():
             return False, f"{name} analyzer composite is not an isometry"
     return True, "every stage and both composites are exact isometries"
 

@@ -30,6 +30,13 @@ def test_zero_and_one():
     assert (Amplitude.one() - Amplitude.one()).is_zero
 
 
+def test_truth_value_is_nonzero():
+    # no caller tests an amplitude's truth today; without __bool__ a zero would be truthy
+    assert bool(Amplitude.zero()) is False
+    assert bool(Amplitude.one()) is True
+    assert bool(Amplitude.one() - Amplitude.one()) is False
+
+
 def test_accumulate_drops_zero_sums():
     terms = {"other": Amplitude.one()}
     accumulate(terms, "k", Amplitude.zero())

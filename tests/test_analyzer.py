@@ -53,7 +53,7 @@ def test_splitter_maps_reproduce_final_stage_forms():
 def test_networks_are_exact_isometries():
     for net in (w_analyzer(), bell_analyzer()):
         assert all(stage.is_isometry() for stage in net.stages)
-        assert net.composed_map().is_isometry()
+        assert net.composed_map.is_isometry()
 
 
 def _staged_propagate(net, state):

@@ -189,7 +189,7 @@ def test_kernel_equals_reference_on_w_states(reference_apply_mode_map):
     net = w_analyzer()
     for label in range(16):
         state = encode_fock(w_state(label), INPUT_MODES)
-        composed = net.composed_map()
+        composed = net.composed_map
         assert state.apply_mode_map(composed) == reference_apply_mode_map(state, composed), label
         for i, stage in enumerate(net.stages):
             out = state.apply_mode_map(stage)

@@ -57,6 +57,8 @@ _NUMBERS = st.one_of(
 
 # integer fields also get floats, integral ones included, and bools
 _INTEGERS = st.one_of(st.integers(), st.integers().map(float), st.floats(), st.booleans())
+# party indices in and out of 0..3, integral floats and bools
+_PARTIES = st.one_of(st.integers(-1, 4), st.integers(0, 3).map(float), st.booleans())
 
 
 def _finite(*values) -> bool:
@@ -86,6 +88,7 @@ _PARAMETERS = {
             trials=draw(_INTEGERS),
             seed=draw(_INTEGERS),
             delta=draw(_NUMBERS),
+            announcers=(draw(_PARTIES), draw(_PARTIES)),
         ),
         lambda c: all(0 <= eta <= 1 for eta in c.etas)
         and 0 <= c.y0 < 1
@@ -93,7 +96,9 @@ _PARAMETERS = {
         and _integer(c.trials)
         and c.trials >= 1
         and _integer(c.seed)
-        and c.seed >= 0,
+        and c.seed >= 0
+        and all(_integer(r) and 0 <= r < 4 for r in c.announcers)
+        and len(set(c.announcers)) == 2,
     ),
 }
 

@@ -82,6 +82,10 @@ def test_config_validation():
     for field, value in (("trials", 1.5), ("trials", 1000.0), ("trials", True), ("seed", 1.5), ("seed", False)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrialConfig(**{field: value})
+    # a float party index fails in _party_bit, and a bool one runs as party 0 or 1
+    for announcers in ((0.5, 2), (1.0, 2), (True, 2), (0, 3.0), (2, False)):
+        with pytest.raises(ValueError, match="announcers"):
+            TrialConfig(announcers=announcers)
     # boundary values and exact fractions stay valid
     TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0), seed=0)
     TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3))
@@ -611,7 +615,7 @@ def _walk_enumerate(cfg, tab):
     total_gain = left_sum(gain)
     total_err = left_sum(err)
     e1 = None if total_gain == 0 else total_err / total_gain
-    return EnumerationResult(cfg.mode, total_gain, e1, tuple(gain), tuple(err))
+    return EnumerationResult(total_gain, e1, tuple(gain), tuple(err))
 
 
 def _same_bits(res, ref):
