@@ -19,6 +19,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import MixedPhaseWithoutDelta
 
 _SQRT2 = 2.0 ** 0.5
@@ -37,6 +39,22 @@ def _reduce(p: int, q: int, r: int, s: int, h: int) -> _Coef:
     while h >= 1 and p % 2 == 0 and q % 2 == 0:
         p, q, r, s, h = r, s, p // 2, q // 2, h - 1
     return (p, q, r, s, h)
+
+
+def _reduce_rows(nums, h: int):
+    """:func:`_reduce` of every numerator row (p, q, r, s) at half-power h.
+
+    Returns the columns p, q, r, s and h of the canonical forms.  Works on
+    int64 and on Python-int (object) rows alike.
+    """
+    p, q, r, s = nums.T
+    h = np.full(len(p), h, np.int64)
+    while True:
+        go = (h >= 1) & (p % 2 == 0) & (q % 2 == 0)
+        if not go.any():
+            return p, q, r, s, h
+        p, q, r, s = np.where(go, r, p), np.where(go, s, q), np.where(go, p // 2, r), np.where(go, q // 2, s)
+        h = h - go
 
 
 def _lift(p: int, q: int, r: int, s: int, gap: int) -> tuple[int, int, int, int]:

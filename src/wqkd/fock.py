@@ -137,14 +137,32 @@ class FockState:
     def apply_mode_map(self, mm: "ModeMap") -> FockState:
         """Substitute every creation operator by its image under ``mm``.
 
+        One canonical Amplitude per output, from the rows of :meth:`image_rows`.
+        """
+        slots, blocks = self.image_rows(mm)
+        out: dict[Monomial, Amplitude] = {}
+        for codes, ks, nums, h in blocks:
+            for c, terms in groupby(zip(codes.tolist(), ks.tolist(), nums.tolist()), key=itemgetter(0)):
+                coeffs = {k: _reduce(p, q, r, s, h) for _, k, (p, q, r, s) in terms}
+                out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)
+        return FockState.__new_canonical(out)
+
+    def image_rows(self, mm: "ModeMap") -> tuple[list[Mode], list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]]:
+        """The image under ``mm`` as merged integer rows, one block per photon number.
+
         Exact integer kernel.  Every numerator of the images in use is lifted
         to their largest half-power H, and every numerator of the state to its
         own largest, H0, so an n-photon product lies at half-power H0 + n*H
         with four integers (p, q, r, s) for its coefficient.  The input
         monomials of each photon number are propagated together, photon by
         photon, on rows of (input monomial, sorted slot codes, phase power,
-        numerator); equal rows are merged after every photon, and each output
-        coefficient is brought to canonical form once, at the end.
+        numerator); equal rows are merged after every photon.
+
+        Returns the sorted output slots and, per photon number, the block
+        (codes, ks, nums, h): row i adds nums[i] * 2**(-h/2) * phi**ks[i] to
+        the output whose slots are ``slots[c] for c in codes[i]``.  Rows are
+        sorted by codes, then by phase power, none is zero, and no numerator
+        is in canonical form yet.
         """
         slots, half, index, table = _slot_images(mm, {m for mon in self._terms for m in mon})
         base = max(
@@ -153,7 +171,7 @@ class FockState:
         by_photons: dict[int, list[tuple[Monomial, Amplitude]]] = {}
         for mon, amp in self._terms.items():
             by_photons.setdefault(len(mon), []).append((mon, amp))
-        out: dict[Monomial, Amplitude] = {}
+        blocks = []
         for n, group in by_photons.items():
             src, ks, lifted = [], [], []
             for i, (_, amp) in enumerate(group):
@@ -168,11 +186,8 @@ class FockState:
             for j in range(n):
                 rows = _times_image(rows, photons[rows[0], j], table)
             _, codes, ks, nums = rows if len(group) == 1 else _merge_sources(rows, len(group))
-            h = base + n * half
-            for c, terms in groupby(zip(codes.tolist(), ks.tolist(), nums.tolist()), key=itemgetter(0)):
-                coeffs = {k: _reduce(p, q, r, s, h) for _, k, (p, q, r, s) in terms}
-                out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)
-        return FockState.__new_canonical(out)
+            blocks.append((codes, ks, nums, base + n * half))
+        return slots, blocks
 
     # -- measurement ---------------------------------------------------------
 

@@ -26,6 +26,7 @@ dark click hits are resolved one by one.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -36,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .amplitude import Amplitude, accumulate
+from .amplitude import _SQRT2, Amplitude, _reduce_rows, accumulate
 from .analyzer import (
     DISTINGUISHABLE_LABELS,
     INPUT_MODES,
@@ -108,8 +109,8 @@ class TrialConfig:
 
 # -- exact propagation of survivor configurations ----------------------------
 
-def _survivor_state(survivors: tuple[tuple[int, int], ...], basis: str) -> FockState:
-    """Propagated state of the surviving photons (exact, symbolic in phi).
+def _survivor_images(survivors: tuple[tuple[int, int], ...], basis: str) -> tuple[FockState, ModeMap]:
+    """The survivors' one bin-0 monomial and the images that propagate it.
 
     A photon of party p with bit b enters as sum_t w_t a†[p, t]: w = {b: 1} in
     the Z basis, {0: 1/sqrt2, 1: +-1/sqrt2} in X.  The analyzer is linear, so
@@ -129,7 +130,13 @@ def _survivor_state(survivors: tuple[tuple[int, int], ...], basis: str) -> FockS
                 accumulate(image, (out, dt + t), a * w)
         images[sp] = tuple((out, dt, a) for (out, dt), a in image.items())
     photons = FockState.from_monomial(Mode(INPUT_MODES[party], 0) for party, _ in survivors)
-    return photons.apply_mode_map(ModeMap(images))
+    return photons, ModeMap(images)
+
+
+def _survivor_state(survivors: tuple[tuple[int, int], ...], basis: str) -> FockState:
+    """Propagated state of the surviving photons (exact, symbolic in phi)."""
+    photons, images = _survivor_images(survivors, basis)
+    return photons.apply_mode_map(images)
 
 
 def _outcomes(
@@ -138,13 +145,91 @@ def _outcomes(
     """Monomial, probability, slot mask and bunching flag of each output.
 
     Z basis for ``delta=None``: one phase power per amplitude, so every
-    probability is an exact Fraction.  X basis otherwise, evaluated at delta.
+    probability is an exact Fraction.  X basis otherwise: floats at delta,
+    evaluated from the kernel's integer rows without an Amplitude per output.
     """
-    state = _survivor_state(survivors, "z" if delta is None else "x")
+    if delta is not None:
+        photons, images = _survivor_images(survivors, "x")
+        slots, (block,) = photons.image_rows(images)
+        return _x_outcomes(slots, *block, delta)
+    state = _survivor_state(survivors, "z")
     return tuple(
         (mon, amp.abs2(delta) * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
         for mon, amp in state.terms()
     )
+
+
+def _x_outcomes(
+    slots: list[Mode], codes: np.ndarray, ks: np.ndarray, nums: np.ndarray, h: int, delta: float
+) -> tuple[tuple[Monomial, float, int, bool], ...]:
+    """The outputs of one block of kernel rows, evaluated at delta.
+
+    Each float is the one ``float(Amplitude.abs2(delta) * multiplicity)``
+    gives.  A single phase power is the exact |c|^2 * mult, rounded once.  A
+    sum is evaluated in the float operations of ``Amplitude.evaluate``: each
+    canonical coefficient times exp(i k delta), added in ascending k from 0,
+    then squared in modulus.
+    """
+    if not len(ks):  # every output cancelled
+        return ()
+    if nums.dtype != object and np.abs(nums).max() >= 1 << 26:  # |c|^2 * mult might overflow int64
+        nums = nums.astype(object)
+    p, q, r, s, hs = _reduce_rows(nums, h)
+    first = np.ones(len(ks), bool)  # the first row of each output
+    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+    output = np.cumsum(first) - 1  # of each row
+    heads = codes[first]
+    mult = np.ones(len(heads), np.int64)  # product of n! over slot occupations
+    run = np.ones(len(heads), np.int64)
+    for j in range(1, heads.shape[1]):
+        run = np.where(heads[:, j] == heads[:, j - 1], run + 1, 1)
+        mult *= run
+    bits = np.array([1 << (_SLOT_OFFSET[m.spatial] + m.bin) for m in slots], np.int64)
+    mask = np.bitwise_or.reduce(bits[heads], axis=1)
+
+    prob = np.empty(len(heads))
+    single = np.bincount(output) == 1
+    # one coefficient: |c|^2 = (plain + root * sqrt2) / 2**h, as _cabs2 has it
+    plain, root, h1 = (p * p + q * q + 2 * (r * r + s * s))[first], (2 * (p * r + q * s))[first], hs[first]
+    exact = single & (root == 0)
+    units = plain[exact] * mult[exact]
+    if units.size and units.max() >= 1 << 53:  # not exact as a float: round the fraction
+        prob[exact] = [float(Fraction(int(u), 1 << int(e))) for u, e in zip(units, h1[exact])]
+    else:
+        prob[exact] = np.ldexp(units.astype(float), -h1[exact])
+    irrational = single & (root != 0)
+    value = plain[irrational].astype(float) + root[irrational].astype(float) * _SQRT2
+    prob[irrational] = np.ldexp(value, -h1[irrational]) * mult[irrational]
+
+    # several: sum_k c_k * exp(i k delta) with a dense column per k; a missing
+    # power adds +0.0, which changes no sum but the sign of a zero
+    low = int(ks.min())
+    phase = []
+    for k in range(low, int(ks.max()) + 1):
+        if not math.isfinite(k * delta):  # cmath.exp would raise, numpy would give nan
+            raise ValueError(f"delay delta={delta!r} is too large: phase power {k} times delta overflows")
+        phase.append(cmath.exp(1j * k * delta))
+    scale = np.array([2.0 ** (-e / 2) for e in range(int(hs.max()) + 1)])[hs]
+    re = (p.astype(float) + r.astype(float) * _SQRT2) * scale
+    im = (q.astype(float) + s.astype(float) * _SQRT2) * scale
+    col = ks - low
+    cos, sin = np.array([z.real for z in phase])[col], np.array([z.imag for z in phase])[col]
+    terms_re, terms_im = np.zeros((2, len(heads), len(phase)))
+    terms_re[output, col] = re * cos - im * sin  # complex product, as CPython forms it
+    terms_im[output, col] = re * sin + im * cos
+    sum_re, sum_im = np.zeros((2, len(heads)))
+    for j in range(len(phase)):
+        sum_re += terms_re[:, j]
+        sum_im += terms_im[:, j]
+    # float ** 2 is C pow, which can round otherwise than x * x
+    mixed = np.flatnonzero(~single)
+    prob[mixed] = [
+        abs(complex(a, b)) ** 2 * m
+        for a, b, m in zip(sum_re[mixed].tolist(), sum_im[mixed].tolist(), mult[mixed].tolist())
+    ]
+    modes = np.fromiter(slots, object, len(slots))
+    mons = zip(*(modes[col] for col in heads.T)) if heads.shape[1] else [()] * len(heads)
+    return tuple(zip(mons, prob.tolist(), mask.tolist(), (mult == 1).tolist()))
 
 
 # the analyzer is fixed, so the Z table holds at most 81 survivor configurations
@@ -353,6 +438,8 @@ class _LiveRows:
 
     An outcome is live when its slot mask lies inside some detection pattern.
     Dark counts only add clicks, so no other outcome can ever be announced.
+    ``merged(basis, mode, announcers)`` is the sampler's entry merge of these
+    rows for one sift, cached.
     """
 
     label_bit: np.ndarray  # click mask -> 1 << index of its label, 0 if no pattern
@@ -360,6 +447,11 @@ class _LiveRows:
     prob: np.ndarray  # outcome probability given the class
     mask: np.ndarray
     free: np.ndarray  # no slot holds two photons
+
+    def __post_init__(self):
+        # the merge depends on the rows and the sift only, so warm calls reuse it
+        merged = functools.lru_cache(maxsize=4)(functools.partial(_entry_merge, self))
+        object.__setattr__(self, "merged", merged)
 
 
 @functools.lru_cache(maxsize=2)  # the Z rows and one X delay
@@ -412,7 +504,10 @@ class _Entries:
     Entry i gathers the (input class, photon outcome) pairs that tally alike:
     photon slot mask ``mask[i]``, the label bits the announcers' bits accept,
     the error flag of the key holders' bits and the number of surviving
-    photons.  ``prob[i]`` is their summed probability.
+    photons.  ``prob[i]`` is their summed probability.  ``cell[i, h]`` is the
+    tally cell of entry i when the clicks hit label bits h: 0 unannounced, 1
+    announced and rejected, 2 + k accepted in photon case k, 7 + k accepted
+    in error; ``no_dark[i]`` is its cell when no dark click lands.
     """
 
     prob: np.ndarray
@@ -420,6 +515,33 @@ class _Entries:
     accepts: np.ndarray
     error: np.ndarray
     photons: np.ndarray
+    cell: np.ndarray
+    no_dark: np.ndarray
+
+
+def _entry_merge(rows: _LiveRows, basis: str, mode: str, announcers: tuple[int, int]) -> tuple:
+    """The entries of one sift, before weights: the survival subset and the
+    probability of each row the mode keeps, the entry it joins, and the
+    entries' other fields."""
+    sift = TrialConfig(mode=mode, basis=basis, announcers=announcers)
+    accepts = np.zeros(16, dtype=np.int64)
+    error = np.zeros(16, dtype=np.int64)
+    for bits in range(16):
+        labels, error[bits] = _sift(bits, sift)
+        accepts[bits] = sum(1 << _LABEL_TO_IDX[label] for label in labels)
+    # bunched outcomes join the dead bucket in paper accounting
+    kept = rows.free if mode == "paper" else slice(None)
+    bits, surv = np.divmod(rows.cls[kept], 16)
+    kind = (rows.mask[kept].astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | _PHOTONS[surv]
+    # merging shortens the multinomial draw: 9420 live Z rows make 1674 entries
+    kind, inverse = np.unique(kind, return_inverse=True)
+    mask = (kind >> 8).astype(np.uint32)
+    accepts, error, photons = (kind >> 4) & 15, ((kind >> 3) & 1).astype(bool), kind & 7
+    hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))  # every label_bit value
+    cell = np.where((accepts[:, None] & hits) != 0, (2 + photons + 5 * error)[:, None], hits != 0).astype(np.int8)
+    no_dark = cell[np.arange(kind.size), rows.label_bit[mask]]
+    # kept as long as the rows are, so the small-valued columns are stored compactly
+    return surv.astype(np.uint8), rows.prob[kept], inverse, (mask, accepts, error, photons, cell, no_dark)
 
 
 def _entries(cfg: TrialConfig, rows: _LiveRows) -> _Entries:
@@ -427,26 +549,13 @@ def _entries(cfg: TrialConfig, rows: _LiveRows) -> _Entries:
     weight = np.full(16, 1 / 16)
     for party, eta in enumerate(cfg.etas):
         weight *= np.where(_party_bit(subsets, party), float(eta), 1 - float(eta))
-    accepts = np.zeros(16, dtype=np.int64)
-    error = np.zeros(16, dtype=np.int64)
-    for bits in range(16):
-        labels, error[bits] = _sift(bits, cfg)
-        accepts[bits] = sum(1 << _LABEL_TO_IDX[label] for label in labels)
-    bits, surv = np.divmod(rows.cls, 16)
-    prob = weight[surv] * rows.prob
-    if cfg.mode == "paper":
-        prob[~rows.free] = 0.0  # bunched outcomes join the dead bucket
-    kind = (rows.mask.astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | _PHOTONS[surv]
-    # merging shortens the multinomial draw: 9420 live Z rows make 1674 entries
-    keep = prob > 0
-    kind, inverse = np.unique(kind[keep], return_inverse=True)
-    return _Entries(
-        np.bincount(inverse, weights=prob[keep]),
-        (kind >> 8).astype(np.uint32),
-        (kind >> 4) & 15,
-        ((kind >> 3) & 1).astype(bool),
-        kind & 7,
-    )
+    surv, prob, inverse, fields = rows.merged(cfg.basis, cfg.mode, cfg.announcers)
+    # a row of weight 0.0 adds +0.0, which leaves every float sum as it was
+    prob = np.bincount(inverse, weights=weight[surv] * prob, minlength=fields[0].size)
+    live = prob != 0  # a zero weight (eta 0 or 1) can empty whole entries
+    if live.all():
+        return _Entries(prob, *fields)
+    return _Entries(prob[live], *(f[live] for f in fields))
 
 
 def run_trials(cfg: TrialConfig) -> Tally:
@@ -461,12 +570,7 @@ def run_trials(cfg: TrialConfig) -> Tally:
     rows = _live_rows(cfg.delta if cfg.basis == "x" else None)
     ent = _entries(cfg, rows)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
-    # tally cell of entry i at label hit h, at cell[i * hits.size + h]: 0 unannounced,
-    # 1 announced and rejected, 2 + k accepted in photon case k, 7 + k accepted in error
-    hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))  # every label_bit value
-    accepted = (ent.accepts[:, None] & hits) != 0
-    cell = np.where(accepted, (2 + ent.photons + 5 * ent.error)[:, None], hits != 0).ravel()
-    no_dark = cell[np.arange(ent.prob.size) * hits.size + rows.label_bit[ent.mask]]
+    cell, hits = ent.cell.ravel(), ent.cell.shape[1]  # one flat index beats two on the darks' path
     y0 = float(cfg.y0)
     counts = np.zeros(ent.prob.size, dtype=np.int64)  # live trials per entry, all chunks
     cells = np.zeros(12, dtype=np.int64)  # trials per tally cell; the no-dark cells come last
@@ -489,9 +593,9 @@ def run_trials(cfg: TrialConfig) -> Tally:
         entry = np.repeat(np.arange(live.size), np.diff(bounds))[first]
         dark = np.bitwise_or.reduceat(np.left_shift(1, slot), first)
         # a dark-hit trial leaves its entry's no-dark cell for the cell of its clicks
-        cells += np.bincount(cell[entry * hits.size + rows.label_bit[ent.mask[entry] | dark]], minlength=12)
-        cells -= np.bincount(no_dark[entry], minlength=12)
-    np.add.at(cells, no_dark, counts)
+        cells += np.bincount(cell[entry * hits + rows.label_bit[ent.mask[entry] | dark]], minlength=12)
+        cells -= np.bincount(ent.no_dark[entry], minlength=12)
+    np.add.at(cells, ent.no_dark, counts)
     case_acc = cells[2:7] + cells[7:]
     return Tally(
         cfg,

@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from wqkd import protocol
 from wqkd.amplitude import Amplitude
-from wqkd.analyzer import INPUT_MODES, derive_detection_table, w_analyzer
-from wqkd.fock import FockState, Mode, Monomial, monomial
+from wqkd.analyzer import DISTINGUISHABLE_LABELS, INPUT_MODES, derive_detection_table, w_analyzer
+from wqkd.fock import FockState, Mode, Monomial, monomial, multiplicity_factor
 from wqkd.keyrate import AnalyzerConstants
 from wqkd.protocol import _CHUNK, N_SLOTS, Tally, slot_mask
 
@@ -82,6 +84,62 @@ def _x_superposition_outcomes(survivor_xbits, delta, propagate=None):
 @pytest.fixture(scope="session")
 def x_superposition_outcomes():
     return _x_superposition_outcomes
+
+
+@functools.cache  # the states do not depend on the delay
+def _x_survivor_state(survivors):
+    return protocol._survivor_state(survivors, "x")
+
+
+def _reference_x_outcomes(survivors, delta):
+    """The X outcome oracle in Amplitude arithmetic: one Amplitude per output,
+    evaluated by ``abs2(delta)``, which ``protocol._outcomes`` must equal bit
+    for bit."""
+    state = _x_survivor_state(survivors)
+    return tuple(
+        (mon, amp.abs2(delta) * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
+        for mon, amp in state.terms()
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_x_outcomes():
+    return _reference_x_outcomes
+
+
+def _reference_entries(cfg, rows):
+    """The entry oracle: the sampler's entries merged afresh on every call,
+    with their tally cells, which ``protocol._entries`` must equal field for
+    field from its cached merge."""
+    subsets = np.arange(16)
+    weight = np.full(16, 1 / 16)
+    for party, eta in enumerate(cfg.etas):
+        weight *= np.where(protocol._party_bit(subsets, party), float(eta), 1 - float(eta))
+    accepts = np.zeros(16, dtype=np.int64)
+    error = np.zeros(16, dtype=np.int64)
+    for bits in range(16):
+        labels, error[bits] = protocol._sift(bits, cfg)
+        accepts[bits] = sum(1 << protocol._LABEL_TO_IDX[label] for label in labels)
+    bits, surv = np.divmod(rows.cls, 16)
+    prob = weight[surv] * rows.prob
+    if cfg.mode == "paper":
+        prob[~rows.free] = 0.0  # bunched outcomes join the dead bucket
+    kind = (rows.mask.astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | protocol._PHOTONS[surv]
+    keep = prob > 0
+    kind, inverse = np.unique(kind[keep], return_inverse=True)
+    prob = np.bincount(inverse, weights=prob[keep])
+    mask, accepts = (kind >> 8).astype(np.uint32), (kind >> 4) & 15
+    error, photons = ((kind >> 3) & 1).astype(bool), kind & 7
+    hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))
+    accepted = (accepts[:, None] & hits) != 0
+    cell = np.where(accepted, (2 + photons + 5 * error)[:, None], hits != 0).ravel()
+    no_dark = cell[np.arange(prob.size) * hits.size + rows.label_bit[mask]]
+    return protocol._Entries(prob, mask, accepts, error, photons, cell.reshape(-1, hits.size), no_dark)
+
+
+@pytest.fixture(scope="session")
+def reference_entries():
+    return _reference_entries
 
 
 def _reference_run_trials(cfg):

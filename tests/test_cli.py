@@ -155,6 +155,22 @@ def test_simulate_rejects_delta_for_z_basis(capsys, tmp_path):
     assert "basis=x" in out
 
 
+@pytest.mark.parametrize("delta, power", [("5e307", 4), ("1e308", 2), ("-1e308", 2)])
+def test_simulate_x_delay_whose_phase_overflows_exits_1(capsys, delta, power):
+    # some phase power times delta is not finite: exit 1 with a message that names delta
+    code, out, err = run(capsys, "simulate", "--basis", "x", f"--delta={delta}", "--trials", "1000")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: delay delta={float(delta)!r} is too large: phase power {power} times delta overflows\n"
+    )
+
+
+def test_simulate_x_delay_of_1e300_runs(capsys):
+    code, out, err = run(capsys, "simulate", "--basis", "x", "--delta", "1e300", "--trials", "1000")
+    assert (code, err) == (0, "")
+    assert "basis=x" in out
+
+
 # sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the
 # command still enumerated the chosen mode a second time
 _ENUMERATE_STDOUT_SHA256 = {

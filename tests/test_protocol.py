@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from wqkd import protocol
 from wqkd.amplitude import Amplitude
-from wqkd.analyzer import INPUT_MODES, w_analyzer
-from wqkd.fock import FockState, Mode, multiplicity_factor
+from wqkd.analyzer import INPUT_MODES, OUTPUT_MODES, w_analyzer
+from wqkd.fock import FockState, Mode, ModeMap, monomial, multiplicity_factor
 from wqkd.keyrate import (
     NoiseParams,
     Transmittances,
@@ -293,6 +293,31 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
     assert err == pytest.approx(float(sum(exact.error_cases)), rel=1e-12, abs=0)
 
 
+def test_cached_entries_equal_a_fresh_merge(reference_entries):
+    # the merge is cached per rows and sift, the weights are not: every sift of
+    # both bases, with etas of 0 and 1 that empty whole entries
+    rng = random.Random(14)
+    emptied = 0
+    for basis, mode, announcers in product("zx", ("paper", "physical"), permutations(range(4), 2)):
+        rows = protocol._live_rows(0.0 if basis == "x" else None)  # delta 0 shares the X rows
+        for _ in range(4):
+            etas = tuple(rng.choice((0, 0.0145, 0.5, 1)) for _ in range(4))
+            cfg = TrialConfig(etas, mode=mode, basis=basis, announcers=announcers)
+            want = reference_entries(cfg, rows)
+            got = protocol._entries(cfg, rows)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                # the cached tally cells are int8; every other field keeps its dtype
+                assert field.name in ("cell", "no_dark") or a.dtype == b.dtype, (cfg, field.name)
+                assert np.array_equal(a, b), (cfg, field.name)
+            emptied += got.prob.size < rows.merged(basis, mode, announcers)[3][0].size
+            before = rows.merged.cache_info()
+            protocol._entries(cfg, rows)
+            after = rows.merged.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses), cfg
+    assert emptied > 0
+
+
 def test_mc_dense_dark_counts():
     cfg = TrialConfig(etas=(0.5,) * 4, y0=1e-2, mode="physical", trials=300_000, seed=31)
     tally = run_trials(cfg)
@@ -402,6 +427,61 @@ def test_x_outcomes_equal_superposition_reference(x_superposition_outcomes):
     delta = math.pi / 8
     for c in configs:
         assert protocol._outcomes(c, delta) == x_superposition_outcomes(c, delta), c
+
+
+_X_DELAYS = (0.0, math.pi / 8, math.pi / 2, 0.3, -1.1, 2 * math.pi, 7.0, 1e3, 1e300)
+
+
+def test_x_outcomes_equal_amplitude_reference_bit_for_bit(monkeypatch, reference_x_outcomes):
+    # every survivor configuration at delays where phi -> 1 or i, generic ones,
+    # and one where k * delta needs the full float range; the live rows built
+    # from the oracle's lists must be the sampler's arrays exactly
+    real = protocol._outcomes
+    for delta in _X_DELAYS:
+        got = {}
+        monkeypatch.setattr(protocol, "_outcomes", lambda s, delta: got.setdefault(s, real(s, delta)))
+        rows = protocol._live_rows.__wrapped__(delta)
+        assert len(got) == 81
+        want = {c: reference_x_outcomes(c, delta) for c in got}
+        for c, outcomes in got.items():
+            assert outcomes == want[c], (delta, c)
+            assert all(math.isfinite(p) for _, p, _, _ in outcomes), (delta, c)
+        monkeypatch.setattr(protocol, "_outcomes", lambda s, delta: want[s])
+        oracle = protocol._live_rows.__wrapped__(delta)
+        for name in ("cls", "prob", "mask", "free"):
+            a, b = getattr(rows, name), getattr(oracle, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (delta, name)
+
+
+_small = st.integers(-4, 4)
+_coef = st.tuples(_small, _small, st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 5))  # (p, q, r, s, h)
+_amplitude = st.dictionaries(st.integers(-2, 2), _coef, min_size=1, max_size=2).map(Amplitude)
+_photons = st.lists(st.builds(Mode, st.sampled_from("abc"), st.integers(0, 1)), max_size=4)
+_image = st.lists(st.tuples(st.sampled_from(OUTPUT_MODES), st.integers(0, 1), _amplitude), max_size=3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(_photons.map(lambda ms: monomial(*ms)), _amplitude, max_size=3).map(FockState),
+    st.fixed_dictionaries({sp: _image.map(tuple) for sp in "abc"}).map(ModeMap),
+    st.sampled_from(_X_DELAYS),
+    st.sampled_from((1, 2**40 + 1)),
+)
+def test_x_evaluation_equals_abs2_on_any_rows(state, mm, delta, scale):
+    # odd half-powers, r, s != 0, negative phase powers, cancelled outputs and,
+    # scaled by 2**40 + 1, Python-int numerators all occur, which the survivor
+    # states alone never show; the sampler reads each probability as a float
+    state = state.scaled(Amplitude.gauss(scale))
+    out = state.apply_mode_map(mm)
+    slots, blocks = state.image_rows(mm)
+    for block in blocks:
+        n = block[0].shape[1]
+        want = tuple(
+            (mon, float(amp.abs2(delta) * multiplicity_factor(mon)), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            for mon, amp in out.terms()
+            if len(mon) == n
+        )
+        assert protocol._x_outcomes(slots, *block, delta) == want
 
 
 def test_z_outcomes_equal_direct_propagation():
