@@ -147,6 +147,11 @@ def _sci(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _sci_e1(e1) -> str:
+    """An exact QBER; at zero gain it is undefined, which 0 would misstate."""
+    return "undefined (zero gain)" if e1 is None else _sci(float(e1))
+
+
 # -- derive-table -------------------------------------------------------------
 
 
@@ -284,11 +289,11 @@ def cmd_enumerate(opts: dict) -> int:
     physical = exact_enumerate(replace(cfg, mode="physical"))
     result = paper if cfg.mode == "paper" else physical
     q1c = q1_identical(eta, NoiseParams(y0), constants)
-    e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else 0.0
+    e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else None
     lines = [f"# wqkd enumerate mode={mode} eta={eta} y0={y0}"]
     lines.append(f"Q1 {mode} = {_sci(float(result.q1))}")
-    lines.append(f"e1 {mode} = {_sci(float(result.e1 or 0.0))}")
-    lines.append(f"Q1 closed-form = {_sci(float(q1c))}   e1 closed-form = {_sci(float(e1c))}")
+    lines.append(f"e1 {mode} = {_sci_e1(result.e1)}")
+    lines.append(f"Q1 closed-form = {_sci(float(q1c))}   e1 closed-form = {_sci_e1(e1c)}")
     cmp_lines, worst = _case_comparison_lines(paper, eta, y0, constants)
     lines.append("# per-case comparison, paper accounting vs closed-form terms")
     lines.extend(cmp_lines)
@@ -342,7 +347,7 @@ def cmd_simulate(opts: dict) -> int:
             "e1_lo": e1_lo,
             "e1_hi": e1_hi,
             "Q1_exact": "" if exact is None else _sci(float(exact.q1)),
-            "e1_exact": "" if exact is None else _sci(float(exact.e1 or 0.0)),
+            "e1_exact": "" if exact is None or exact.e1 is None else _sci(float(exact.e1)),
         }
         for i, frac in enumerate(report.per_case_fraction, start=1):
             fields[f"case{i}_frac"] = f"{frac:.6f}"
@@ -361,7 +366,7 @@ def cmd_simulate(opts: dict) -> int:
             lines.append(f"e1_hat = {e1_hat}  ci95 = [{e1_lo}, {e1_hi}]")
         if exact is not None:
             lines.append(f"Q1_exact = {_sci(float(exact.q1))}")
-            lines.append(f"e1_exact = {_sci(float(exact.e1 or 0.0))}")
+            lines.append(f"e1_exact = {_sci_e1(exact.e1)}")
             fr = " ".join(f"{x:.6f}" for x in report.per_case_fraction)
             lines.append(f"per_case_accepted_fraction = {fr}")
     if report.note:

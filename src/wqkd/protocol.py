@@ -45,7 +45,8 @@ from .analyzer import (
     derive_detection_table,
     w_analyzer,
 )
-from .fock import FockState, Mode, ModeMap, Monomial, multiplicity_factor
+from .errors import MixedPhaseWithoutDelta
+from .fock import FockState, Mode, ModeMap, Monomial
 from .keyrate import left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
@@ -133,42 +134,27 @@ def _survivor_images(survivors: tuple[tuple[int, int], ...], basis: str) -> tupl
     return photons, ModeMap(images)
 
 
-def _survivor_state(survivors: tuple[tuple[int, int], ...], basis: str) -> FockState:
-    """Propagated state of the surviving photons (exact, symbolic in phi)."""
-    photons, images = _survivor_images(survivors, basis)
-    return photons.apply_mode_map(images)
-
-
 def _outcomes(
     survivors: tuple[tuple[int, int], ...], delta: float | None
 ) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
-    """Monomial, probability, slot mask and bunching flag of each output.
-
-    Z basis for ``delta=None``: one phase power per amplitude, so every
-    probability is an exact Fraction.  X basis otherwise: floats at delta,
-    evaluated from the kernel's integer rows without an Amplitude per output.
-    """
-    if delta is not None:
-        photons, images = _survivor_images(survivors, "x")
-        slots, (block,) = photons.image_rows(images)
-        return _x_outcomes(slots, *block, delta)
-    state = _survivor_state(survivors, "z")
-    return tuple(
-        (mon, amp.abs2(delta) * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
-        for mon, amp in state.terms()
-    )
+    """Monomial, probability, slot mask and bunching flag of each output:
+    Z basis for ``delta=None``, X at delta otherwise, both from kernel rows."""
+    photons, images = _survivor_images(survivors, "z" if delta is None else "x")
+    slots, (block,) = photons.image_rows(images)
+    return _row_outcomes(slots, *block, delta)
 
 
-def _x_outcomes(
-    slots: list[Mode], codes: np.ndarray, ks: np.ndarray, nums: np.ndarray, h: int, delta: float
-) -> tuple[tuple[Monomial, float, int, bool], ...]:
+def _row_outcomes(
+    slots: list[Mode], codes: np.ndarray, ks: np.ndarray, nums: np.ndarray, h: int, delta: float | None
+) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
     """The outputs of one block of kernel rows, evaluated at delta.
 
-    Each float is the one ``float(Amplitude.abs2(delta) * multiplicity)``
-    gives.  A single phase power is the exact |c|^2 * mult, rounded once.  A
-    sum is evaluated in the float operations of ``Amplitude.evaluate``: each
-    canonical coefficient times exp(i k delta), added in ascending k from 0,
-    then squared in modulus.
+    Each probability is the one ``Amplitude.abs2(delta) * multiplicity``
+    gives, as a float at a delay.  A single phase power is the exact
+    |c|^2 * mult: a Fraction at ``delta=None`` when it is rational, else
+    rounded once.  A sum needs a delay; it is evaluated in the float
+    operations of ``Amplitude.evaluate``: each canonical coefficient times
+    exp(i k delta), added in ascending k from 0, then squared in modulus.
     """
     if not len(ks):  # every output cancelled
         return ()
@@ -187,46 +173,51 @@ def _x_outcomes(
     bits = np.array([1 << (_SLOT_OFFSET[m.spatial] + m.bin) for m in slots], np.int64)
     mask = np.bitwise_or.reduce(bits[heads], axis=1)
 
-    prob = np.empty(len(heads))
+    prob = np.empty(len(heads), object if delta is None else float)
     single = np.bincount(output) == 1
     # one coefficient: |c|^2 = (plain + root * sqrt2) / 2**h, as _cabs2 has it
     plain, root, h1 = (p * p + q * q + 2 * (r * r + s * s))[first], (2 * (p * r + q * s))[first], hs[first]
     exact = single & (root == 0)
     units = plain[exact] * mult[exact]
-    if units.size and units.max() >= 1 << 53:  # not exact as a float: round the fraction
-        prob[exact] = [float(Fraction(int(u), 1 << int(e))) for u, e in zip(units, h1[exact])]
+    if delta is None or (units.size and units.max() >= 1 << 53):  # kept exact, or not exact as a float
+        fractions = [Fraction(int(u), 1 << int(e)) for u, e in zip(units, h1[exact])]
+        prob[exact] = fractions if delta is None else list(map(float, fractions))
     else:
         prob[exact] = np.ldexp(units.astype(float), -h1[exact])
     irrational = single & (root != 0)
     value = plain[irrational].astype(float) + root[irrational].astype(float) * _SQRT2
     prob[irrational] = np.ldexp(value, -h1[irrational]) * mult[irrational]
 
-    # several: sum_k c_k * exp(i k delta) with a dense column per k; a missing
-    # power adds +0.0, which changes no sum but the sign of a zero
-    low = int(ks.min())
-    phase = []
-    for k in range(low, int(ks.max()) + 1):
-        if not math.isfinite(k * delta):  # cmath.exp would raise, numpy would give nan
-            raise ValueError(f"delay delta={delta!r} is too large: phase power {k} times delta overflows")
-        phase.append(cmath.exp(1j * k * delta))
-    scale = np.array([2.0 ** (-e / 2) for e in range(int(hs.max()) + 1)])[hs]
-    re = (p.astype(float) + r.astype(float) * _SQRT2) * scale
-    im = (q.astype(float) + s.astype(float) * _SQRT2) * scale
-    col = ks - low
-    cos, sin = np.array([z.real for z in phase])[col], np.array([z.imag for z in phase])[col]
-    terms_re, terms_im = np.zeros((2, len(heads), len(phase)))
-    terms_re[output, col] = re * cos - im * sin  # complex product, as CPython forms it
-    terms_im[output, col] = re * sin + im * cos
-    sum_re, sum_im = np.zeros((2, len(heads)))
-    for j in range(len(phase)):
-        sum_re += terms_re[:, j]
-        sum_im += terms_im[:, j]
-    # float ** 2 is C pow, which can round otherwise than x * x
     mixed = np.flatnonzero(~single)
-    prob[mixed] = [
-        abs(complex(a, b)) ** 2 * m
-        for a, b, m in zip(sum_re[mixed].tolist(), sum_im[mixed].tolist(), mult[mixed].tolist())
-    ]
+    if delta is None:
+        if mixed.size:
+            raise MixedPhaseWithoutDelta(f"an output mixes phase powers {ks[output == mixed[0]].tolist()}: no delta")
+    else:
+        # several: sum_k c_k * exp(i k delta) with a dense column per k; a missing
+        # power adds +0.0, which changes no sum but the sign of a zero
+        low = int(ks.min())
+        phase = []
+        for k in range(low, int(ks.max()) + 1):
+            if not math.isfinite(k * delta):  # cmath.exp would raise, numpy would give nan
+                raise ValueError(f"delay delta={delta!r} is too large: phase power {k} times delta overflows")
+            phase.append(cmath.exp(1j * k * delta))
+        scale = np.array([2.0 ** (-e / 2) for e in range(int(hs.max()) + 1)])[hs]
+        re = (p.astype(float) + r.astype(float) * _SQRT2) * scale
+        im = (q.astype(float) + s.astype(float) * _SQRT2) * scale
+        col = ks - low
+        cos, sin = np.array([z.real for z in phase])[col], np.array([z.imag for z in phase])[col]
+        terms_re, terms_im = np.zeros((2, len(heads), len(phase)))
+        terms_re[output, col] = re * cos - im * sin  # complex product, as CPython forms it
+        terms_im[output, col] = re * sin + im * cos
+        sum_re, sum_im = np.zeros((2, len(heads)))
+        for j in range(len(phase)):
+            sum_re += terms_re[:, j]
+            sum_im += terms_im[:, j]
+        # float ** 2 is C pow, which can round otherwise than x * x
+        prob[mixed] = [
+            abs(complex(a, b)) ** 2 * m
+            for a, b, m in zip(sum_re[mixed].tolist(), sum_im[mixed].tolist(), mult[mixed].tolist())
+        ]
     modes = np.fromiter(slots, object, len(slots))
     mons = zip(*(modes[col] for col in heads.T)) if heads.shape[1] else [()] * len(heads)
     return tuple(zip(mons, prob.tolist(), mask.tolist(), (mult == 1).tolist()))

@@ -9,6 +9,7 @@ from wqkd.analyzer import DISTINGUISHABLE_LABELS, INPUT_MODES, derive_detection_
 from wqkd.fock import FockState, Mode, Monomial, monomial, multiplicity_factor
 from wqkd.keyrate import AnalyzerConstants
 from wqkd.protocol import _CHUNK, N_SLOTS, Tally, slot_mask
+from wqkd.qubits import encode_fock, w_state
 
 pytest_plugins = ["pytester"]
 
@@ -59,6 +60,29 @@ def reference_apply_mode_map():
     return _reference_apply_mode_map
 
 
+@pytest.fixture(scope="session")
+def w_state_chains():
+    """Per W-state label, the kernel's input and its image after each of the
+    W analyzer's six stages, and its image under the composed map; computed
+    once for every test that checks the chain."""
+    net = w_analyzer()
+    chains = []
+    for label in range(16):
+        staged = [encode_fock(w_state(label), INPUT_MODES)]
+        for stage in net.stages:
+            staged.append(staged[-1].apply_mode_map(stage))
+        chains.append((staged, net.propagate(staged[0])))
+    return chains
+
+
+def _survivor_state(survivors, basis):
+    """The survivors' propagated state in Amplitude arithmetic: one
+    Amplitude per output, the oracle of the rows ``protocol._outcomes``
+    evaluates."""
+    photons, images = protocol._survivor_images(survivors, basis)
+    return photons.apply_mode_map(images)
+
+
 def _x_superposition_outcomes(survivor_xbits, delta, propagate=None):
     """The X outcome oracle: tensor each photon's (t0 +- t1)/sqrt2 into one
     2^k-term input state, propagate it, and evaluate every output at delta."""
@@ -88,7 +112,7 @@ def x_superposition_outcomes():
 
 @functools.cache  # the states do not depend on the delay
 def _x_survivor_state(survivors):
-    return protocol._survivor_state(survivors, "x")
+    return _survivor_state(survivors, "x")
 
 
 def _reference_x_outcomes(survivors, delta):

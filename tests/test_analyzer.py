@@ -23,6 +23,8 @@ from wqkd.analyzer import (
 from wqkd.fock import FockState, Mode
 from wqkd.qubits import bell_state, encode_fock, w_state
 
+from conftest import _survivor_state
+
 
 def test_interferometer_map_matches_reference_form():
     mm = interferometer_map("a", "b", "e", "f")
@@ -63,19 +65,26 @@ def _staged_propagate(net, state):
     return state
 
 
-def test_composed_propagation_equals_staged_oracle(x_superposition_outcomes):
+def test_composed_propagation_equals_staged_oracle(x_superposition_outcomes, w_state_chains):
     net = w_analyzer()
-    for label in range(16):
-        state = encode_fock(w_state(label), INPUT_MODES)
-        assert net.propagate(state) == _staged_propagate(net, state), label
+    for label, (staged, out) in enumerate(w_state_chains):
+        assert staged[0] == encode_fock(w_state(label), INPUT_MODES), label
+        assert out == staged[-1], label
     # one survivor configuration per photon number; the Z states are the
-    # survivors' own bins propagated stage by stage, and the X outcomes are
-    # floats evaluated at a delay that must agree bit for bit with the
+    # survivors' own bins propagated stage by stage, and the Z outcomes are
+    # the exact listing of that staged state; the X outcomes are floats
+    # evaluated at a delay that must agree bit for bit with the
     # superposition oracle propagated stage by stage
     z_configs = (((0, 1),), ((0, 0), (2, 1)), ((0, 1), (1, 0), (3, 1)), ((0, 0), (1, 1), (2, 0), (3, 1)))
     for c in z_configs:
         photons = FockState.from_monomial(Mode(INPUT_MODES[p], z) for p, z in c)
-        assert protocol._survivor_state(c, "z") == _staged_propagate(net, photons), c
+        state = _staged_propagate(net, photons)
+        assert _survivor_state(c, "z") == state, c
+        listing = tuple(
+            (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            for mon, _ in state.terms()
+        )
+        assert protocol._outcomes(c, None) == listing, c
     x_configs = (((1, 1),), ((0, 1), (1, 0)), ((0, 0), (1, 0), (2, 0)))
     delta = math.pi / 8
     staged_x = [x_superposition_outcomes(c, delta, lambda s: _staged_propagate(net, s)) for c in x_configs]

@@ -251,6 +251,31 @@ def test_simulate_stdout_is_pinned(capsys, basis, expected):
     assert out == expected
 
 
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+def test_enumerate_prints_zero_gain_qber_as_undefined(capsys, mode):
+    # with no gain the QBER is 0/0; a printed 0 would claim the best possible value
+    code, out, err = run(capsys, "enumerate", "--eta", "0", "--y0", "0", "--mode", mode)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1:4] == [
+        f"Q1 {mode} = 0.00000000000e+00",
+        f"e1 {mode} = undefined (zero gain)",
+        "Q1 closed-form = 0.00000000000e+00   e1 closed-form = undefined (zero gain)",
+    ]
+
+
+def test_simulate_prints_zero_gain_exact_qber_as_undefined(capsys):
+    flags = ("simulate", "--eta", "0", "--y0", "0", "--trials", "1000")
+    code, out, err = run(capsys, *flags)
+    assert (code, err) == (0, "")
+    assert "Q1_exact = 0.00000000000e+00\ne1_exact = undefined (zero gain)\n" in out
+    code, out, err = run(capsys, *flags, "--format", "csv")
+    assert (code, err) == (0, "")
+    _, names, values, _ = out.splitlines()
+    fields = dict(zip(names.split(","), values.split(",")))
+    assert (fields["Q1_exact"], fields["e1_exact"], fields["e1_hat"]) == ("0.00000000000e+00", "", "")
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

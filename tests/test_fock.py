@@ -12,6 +12,8 @@ from wqkd.errors import UnmappedMode
 from wqkd.fock import FockState, Mode, ModeMap, mode, monomial
 from wqkd.qubits import encode_fock, w_state
 
+from conftest import _survivor_state
+
 
 def a0() -> Mode:
     return Mode("a", 0)
@@ -185,16 +187,14 @@ def test_kernel_switches_to_python_ints(monkeypatch, reference_apply_mode_map, p
     assert object in dtypes
 
 
-def test_kernel_equals_reference_on_w_states(reference_apply_mode_map):
+def test_kernel_equals_reference_on_w_states(reference_apply_mode_map, w_state_chains):
     net = w_analyzer()
-    for label in range(16):
-        state = encode_fock(w_state(label), INPUT_MODES)
-        composed = net.composed_map
-        assert state.apply_mode_map(composed) == reference_apply_mode_map(state, composed), label
+    composed = net.composed_map
+    for label, (staged, out) in enumerate(w_state_chains):
+        assert staged[0] == encode_fock(w_state(label), INPUT_MODES), label
+        assert out == reference_apply_mode_map(staged[0], composed), label
         for i, stage in enumerate(net.stages):
-            out = state.apply_mode_map(stage)
-            assert out == reference_apply_mode_map(state, stage), (label, i)
-            state = out
+            assert staged[i + 1] == reference_apply_mode_map(staged[i], stage), (label, i)
 
 
 def test_kernel_equals_reference_on_survivor_states(monkeypatch, reference_apply_mode_map):
@@ -211,7 +211,7 @@ def test_kernel_equals_reference_on_survivor_states(monkeypatch, reference_apply
     x_configs = [c for c in configs if len(c) <= 3] + [((0, 1), (1, 0), (2, 0), (3, 1))]
     for basis, chosen in (("z", configs), ("x", x_configs)):
         for c in chosen:
-            protocol._survivor_state(c, basis)
+            _survivor_state(c, basis)
     assert len(calls) == 81 + 66
     for state, mm, out in calls:
         assert out == reference_apply_mode_map(state, mm)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wqkd import protocol
 from wqkd.amplitude import Amplitude
 from wqkd.analyzer import INPUT_MODES, OUTPUT_MODES, w_analyzer
+from wqkd.errors import MixedPhaseWithoutDelta
 from wqkd.fock import FockState, Mode, ModeMap, monomial, multiplicity_factor
 from wqkd.keyrate import (
     NoiseParams,
@@ -31,6 +32,8 @@ from wqkd.protocol import (
     survivor_coefficients,
     wilson_interval,
 )
+
+from conftest import _survivor_state, _x_survivor_state
 
 
 @pytest.mark.parametrize(
@@ -455,33 +458,61 @@ def test_x_outcomes_equal_amplitude_reference_bit_for_bit(monkeypatch, reference
 
 _small = st.integers(-4, 4)
 _coef = st.tuples(_small, _small, st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 5))  # (p, q, r, s, h)
-_amplitude = st.dictionaries(st.integers(-2, 2), _coef, min_size=1, max_size=2).map(Amplitude)
 _photons = st.lists(st.builds(Mode, st.sampled_from("abc"), st.integers(0, 1)), max_size=4)
-_image = st.lists(st.tuples(st.sampled_from(OUTPUT_MODES), st.integers(0, 1), _amplitude), max_size=3)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(
-    st.dictionaries(_photons.map(lambda ms: monomial(*ms)), _amplitude, max_size=3).map(FockState),
-    st.fixed_dictionaries({sp: _image.map(tuple) for sp in "abc"}).map(ModeMap),
-    st.sampled_from(_X_DELAYS),
-    st.sampled_from((1, 2**40 + 1)),
-)
-def test_x_evaluation_equals_abs2_on_any_rows(state, mm, delta, scale):
-    # odd half-powers, r, s != 0, negative phase powers, cancelled outputs and,
-    # scaled by 2**40 + 1, Python-int numerators all occur, which the survivor
-    # states alone never show; the sampler reads each probability as a float
+def _rows(powers):
+    """A state and a mode map whose amplitudes hold up to ``powers`` phase powers."""
+    amplitude = st.dictionaries(st.integers(-2, 2), _coef, min_size=1, max_size=powers).map(Amplitude)
+    image = st.lists(st.tuples(st.sampled_from(OUTPUT_MODES), st.integers(0, 1), amplitude), max_size=3)
+    return (
+        st.dictionaries(_photons.map(lambda ms: monomial(*ms)), amplitude, max_size=3).map(FockState),
+        st.fixed_dictionaries({sp: image.map(tuple) for sp in "abc"}).map(ModeMap),
+    )
+
+
+def _blocks(state, mm, scale):
+    """Each block of the scaled state's kernel rows with its outputs in
+    Amplitude arithmetic."""
     state = state.scaled(Amplitude.gauss(scale))
     out = state.apply_mode_map(mm)
     slots, blocks = state.image_rows(mm)
     for block in blocks:
-        n = block[0].shape[1]
+        yield slots, block, [(mon, amp) for mon, amp in out.terms() if len(mon) == block[0].shape[1]]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(*_rows(2), st.sampled_from(_X_DELAYS), st.sampled_from((1, 2**40 + 1)))
+def test_x_evaluation_equals_abs2_on_any_rows(state, mm, delta, scale):
+    # odd half-powers, r, s != 0, negative phase powers, cancelled outputs and,
+    # scaled by 2**40 + 1, Python-int numerators all occur, which the survivor
+    # states alone never show; the sampler reads each probability as a float
+    for slots, block, amps in _blocks(state, mm, scale):
         want = tuple(
             (mon, float(amp.abs2(delta) * multiplicity_factor(mon)), protocol.slot_mask(mon), len(set(mon)) == len(mon))
-            for mon, amp in out.terms()
-            if len(mon) == n
+            for mon, amp in amps
         )
-        assert protocol._x_outcomes(slots, *block, delta) == want
+        assert protocol._row_outcomes(slots, *block, delta) == want
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(*_rows(1), st.sampled_from((1, 2**40 + 1)))
+def test_evaluation_without_delay_equals_abs2_on_any_rows(state, mm, scale):
+    # without a delay, a block whose outputs each hold one phase power gives
+    # abs2() * multiplicity in value and type: a Fraction when rational, else
+    # a float; a block with a mixed output raises as abs2() does
+    for slots, block, amps in _blocks(state, mm, scale):
+        if any(len(amp.phase_powers()) > 1 for _, amp in amps):
+            with pytest.raises(MixedPhaseWithoutDelta):
+                protocol._row_outcomes(slots, *block, None)
+            continue
+        want = [
+            (mon, amp.abs2() * multiplicity_factor(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            for mon, amp in amps
+        ]
+        got = protocol._row_outcomes(slots, *block, None)
+        assert got == tuple(want)
+        assert [type(p) for _, p, _, _ in got] == [type(p) for _, p, _, _ in want]
 
 
 def test_z_outcomes_equal_direct_propagation():
@@ -490,7 +521,7 @@ def test_z_outcomes_equal_direct_propagation():
     assert len(configs) == 81
     for c in configs:
         state = w_analyzer().propagate(FockState.from_monomial(Mode(INPUT_MODES[p], z) for p, z in c))
-        assert protocol._survivor_state(c, "z") == state, c
+        assert _survivor_state(c, "z") == state, c
         reference = tuple(
             (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, _ in state.terms()
@@ -516,7 +547,7 @@ def _exact_x_probabilities(survivors, turns):
     """Exact (monomial, probability) of each X output at delta = turns * pi/2."""
     probs = [
         (mon, _at_quarter_turns(amp, turns).abs2() * multiplicity_factor(mon))
-        for mon, amp in protocol._survivor_state(survivors, "x").terms()
+        for mon, amp in _x_survivor_state(survivors).terms()
     ]
     assert all(type(p) is Fraction for _, p in probs), survivors
     assert left_sum(p for _, p in probs) == 1, survivors
