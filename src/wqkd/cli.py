@@ -331,6 +331,7 @@ def cmd_simulate(opts: dict) -> int:
     )
     e1_hat = "" if report.e1_hat is None else _sci(report.e1_hat)
     e1_lo, e1_hi = ("", "") if report.e1_ci is None else (_sci(report.e1_ci[0]), _sci(report.e1_ci[1]))
+    fracs = None if report.per_case_fraction is None else [f"{x:.6f}" for x in report.per_case_fraction]
     if opts["format"] == "csv":
         fields = {
             "mode": cfg.mode,
@@ -349,8 +350,8 @@ def cmd_simulate(opts: dict) -> int:
             "Q1_exact": "" if exact is None else _sci(float(exact.q1)),
             "e1_exact": "" if exact is None or exact.e1 is None else _sci(float(exact.e1)),
         }
-        for i, frac in enumerate(report.per_case_fraction, start=1):
-            fields[f"case{i}_frac"] = f"{frac:.6f}"
+        for i, frac in enumerate(fracs or [""] * 5, start=1):
+            fields[f"case{i}_frac"] = frac
         lines = [header, ",".join(fields), ",".join(str(v) for v in fields.values())]
     else:
         lines = [
@@ -367,7 +368,7 @@ def cmd_simulate(opts: dict) -> int:
         if exact is not None:
             lines.append(f"Q1_exact = {_sci(float(exact.q1))}")
             lines.append(f"e1_exact = {_sci_e1(exact.e1)}")
-            fr = " ".join(f"{x:.6f}" for x in report.per_case_fraction)
+            fr = "undefined (no accepted events)" if fracs is None else " ".join(fracs)
             lines.append(f"per_case_accepted_fraction = {fr}")
     if report.note:
         lines.append(f"# note: {report.note}")

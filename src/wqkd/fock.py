@@ -147,7 +147,7 @@ class FockState:
                 out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)
         return FockState.__new_canonical(out)
 
-    def image_rows(self, mm: "ModeMap") -> tuple[list[Mode], list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]]:
+    def image_rows(self, mm: "ModeMap", per_source: bool = False) -> tuple[list[Mode], list | dict]:
         """The image under ``mm`` as merged integer rows, one block per photon number.
 
         Exact integer kernel.  Every numerator of the images in use is lifted
@@ -163,6 +163,13 @@ class FockState:
         the output whose slots are ``slots[c] for c in codes[i]``.  Rows are
         sorted by codes, then by phase power, none is zero, and no numerator
         is in canonical form yet.
+
+        With ``per_source`` the rows of each input monomial stay apart: the
+        blocks come in a dict keyed by the input monomial.  Sources kept apart
+        share no rows, so they are propagated at most ``_PASS`` at a time,
+        which bounds the peak memory, and each block is stored in the
+        narrowest integer dtype that holds it (:func:`_narrow`); widen it
+        before any arithmetic.
         """
         slots, half, index, table = _slot_images(mm, {m for mon in self._terms for m in mon})
         base = max(
@@ -172,22 +179,22 @@ class FockState:
         for mon, amp in self._terms.items():
             by_photons.setdefault(len(mon), []).append((mon, amp))
         blocks = []
+        sources: dict[Monomial, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         for n, group in by_photons.items():
-            src, ks, lifted = [], [], []
-            for i, (_, amp) in enumerate(group):
-                for k in amp.phase_powers():
-                    p, q, r, s, h = amp.coefficient(k)
-                    src.append(i)
-                    ks.append(k)
-                    lifted.append(_lift(p, q, r, s, base - h))
-            photons = np.array([[index[m] for m in mon] for mon, _ in group], np.int64).reshape(len(group), n)
-            no_slots = np.zeros((len(src), 0), np.int64)
-            rows = (np.array(src, np.int64), no_slots, np.array(ks, np.int64), _numerators(lifted))
-            for j in range(n):
-                rows = _times_image(rows, photons[rows[0], j], table)
-            _, codes, ks, nums = rows if len(group) == 1 else _merge_sources(rows, len(group))
-            blocks.append((codes, ks, nums, base + n * half))
-        return slots, blocks
+            h = base + n * half
+            if not per_source:
+                rows = _propagate(group, base, index, table)
+                _, codes, ks, nums = rows if len(group) == 1 else _merge_sources(rows, len(group))
+                blocks.append((codes, ks, nums, h))
+                continue
+            for start in range(0, len(group), _PASS):
+                part = group[start : start + _PASS]
+                src, *columns = _propagate(part, base, index, table)
+                cuts = np.searchsorted(src, np.arange(1, len(part)))  # rows come sorted by source
+                split = (np.split(_narrow(column), cuts) for column in columns)
+                for (mon, _), codes, ks, nums in zip(part, *split):
+                    sources[mon] = (codes, ks, nums, h)
+        return slots, (sources if per_source else blocks)
 
     # -- measurement ---------------------------------------------------------
 
@@ -244,6 +251,40 @@ class FockState:
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _INT64_LIMIT = 1 << 63
+
+
+_PASS = 4  # input monomials per kernel pass when their rows stay apart
+
+
+def _propagate(group: list[tuple[Monomial, Amplitude]], base: int, index: dict[Mode, int], table: tuple) -> _Rows:
+    """The rows of monomials that hold equally many photons, each source kept
+    apart: numerators lifted to half-power ``base``, then times the image of
+    every photon in turn."""
+    src, ks, lifted = [], [], []
+    for i, (_, amp) in enumerate(group):
+        for k in amp.phase_powers():
+            p, q, r, s, h = amp.coefficient(k)
+            src.append(i)
+            ks.append(k)
+            lifted.append(_lift(p, q, r, s, base - h))
+    n = len(group[0][0])
+    photons = np.array([[index[m] for m in mon] for mon, _ in group], np.int64).reshape(len(group), n)
+    rows = (np.array(src, np.int64), np.zeros((len(src), 0), np.int64), np.array(ks, np.int64), _numerators(lifted))
+    for j in range(n):
+        rows = _times_image(rows, photons[rows[0], j], table)
+    return rows
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest integer dtype that holds its values; Python ints stay."""
+    if a.dtype == object:
+        return a
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return a.astype(dtype)
+    return a
 
 
 def _numerators(rows: list[tuple[int, int, int, int]]) -> np.ndarray:

@@ -32,12 +32,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable
 
 import numpy as np
 
-from .amplitude import _SQRT2, Amplitude, _reduce_rows, accumulate
+from .amplitude import _SQRT2, Amplitude, _reduce_rows
 from .analyzer import (
     DISTINGUISHABLE_LABELS,
     INPUT_MODES,
@@ -46,7 +46,7 @@ from .analyzer import (
     w_analyzer,
 )
 from .errors import MixedPhaseWithoutDelta
-from .fock import FockState, Mode, ModeMap, Monomial
+from .fock import FockState, Mode, Monomial, _merge_sources, monomial
 from .keyrate import left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
@@ -110,38 +110,57 @@ class TrialConfig:
 
 # -- exact propagation of survivor configurations ----------------------------
 
-def _survivor_images(survivors: tuple[tuple[int, int], ...], basis: str) -> tuple[FockState, ModeMap]:
-    """The survivors' one bin-0 monomial and the images that propagate it.
+def _product_monomial(survivors: tuple[tuple[int, int], ...]) -> Monomial:
+    """The survivors' product monomial: party p with Z bit b is a†[p, b]."""
+    return monomial(*(Mode(INPUT_MODES[party], bit) for party, bit in survivors))
 
-    A photon of party p with bit b enters as sum_t w_t a†[p, t]: w = {b: 1} in
-    the Z basis, {0: 1/sqrt2, 1: +-1/sqrt2} in X.  The analyzer is linear, so
-    its image is the same weighted sum of the composed map's image of p,
-    shifted by t bins, and the survivors' output is their one bin-0 monomial
-    propagated through these images.
+
+@functools.cache
+def _product_rows() -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
+    """The composed map's image of every survivor configuration's product
+    monomial, the vacuum included, as kernel rows kept apart per configuration.
+
+    One kernel run for all 81 Z configurations.  Every k-photon block lies at
+    the same half-power, and the columns are stored narrow (see
+    ``FockState.image_rows``).
     """
-    root = Amplitude.gauss(1, 0, 1)
-    composed = w_analyzer().composed_map
-    images = {}
-    for party, bit in survivors:
-        sp = INPUT_MODES[party]
-        weights = {bit: Amplitude.one()} if basis == "z" else {0: root, 1: -root if bit else root}
-        image: dict[tuple[str, int], Amplitude] = {}
-        for out, dt, a in composed.entries[sp]:
-            for t, w in weights.items():
-                accumulate(image, (out, dt + t), a * w)
-        images[sp] = tuple((out, dt, a) for (out, dt), a in image.items())
-    photons = FockState.from_monomial(Mode(INPUT_MODES[party], 0) for party, _ in survivors)
-    return photons, ModeMap(images)
+    configs = {_product_monomial(c): c for c in set(_SURVIVORS)}
+    state = FockState(dict.fromkeys(configs, Amplitude.one()))
+    slots, rows = state.image_rows(w_analyzer().composed_map, per_source=True)
+    return slots, {configs[mon]: block for mon, block in rows.items()}
+
+
+def _wide(column: np.ndarray) -> np.ndarray:
+    return column if column.dtype == object else column.astype(np.int64)
 
 
 def _outcomes(
     survivors: tuple[tuple[int, int], ...], delta: float | None
 ) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
     """Monomial, probability, slot mask and bunching flag of each output:
-    Z basis for ``delta=None``, X at delta otherwise, both from kernel rows."""
-    photons, images = _survivor_images(survivors, "z" if delta is None else "x")
-    slots, (block,) = photons.image_rows(images)
-    return _row_outcomes(slots, *block, delta)
+    Z basis for ``delta=None``, X at delta otherwise, both from the cached
+    product rows.
+
+    The analyzer is linear.  A Z configuration is its own product monomial.
+    In X each photon of party p with bit x enters as (a†[p, 0] + (-1)**x
+    a†[p, 1]) / sqrt2, so the survivors' input is 2**(-k/2) times the sum
+    over bits z of (-1)**(x.z) times the product monomial with bits z: its
+    rows are the 2**k signed Z blocks merged, at half-power h + k.
+    """
+    slots, rows = _product_rows()
+    if delta is None:
+        codes, ks, nums, h = rows[survivors]
+        return _row_outcomes(slots, _wide(codes), _wide(ks), _wide(nums), h, None)
+    parties = [party for party, _ in survivors]
+    signed = []
+    for zbits in product((0, 1), repeat=len(survivors)):
+        codes, ks, nums, h = rows[tuple(zip(parties, zbits))]
+        flips = sum(x & z for (_, x), z in zip(survivors, zbits))
+        signed.append((_wide(codes), _wide(ks), _wide(nums) * (-1) ** flips))
+    codes, ks, nums = (np.concatenate(column) for column in zip(*signed))
+    if len(signed) > 1:
+        _, codes, ks, nums = _merge_sources((np.zeros_like(ks), codes, ks, nums), len(signed))
+    return _row_outcomes(slots, codes, ks, nums, h + len(survivors), delta)
 
 
 def _row_outcomes(
@@ -605,7 +624,7 @@ class EstimateReport:
     q1_ci: tuple[float, float]
     e1_hat: float | None
     e1_ci: tuple[float, float] | None
-    per_case_fraction: tuple[float, float, float, float, float]
+    per_case_fraction: tuple[float, float, float, float, float] | None  # 0/0 with no accepted events
     note: str = ""
 
 
@@ -626,7 +645,7 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 def estimate(t: Tally) -> EstimateReport:
     q1_ci = wilson_interval(t.accepted, t.trials)
     if t.accepted == 0:
-        return EstimateReport(0.0, q1_ci, None, None, (0.0,) * 5, "no accepted events: e1 undefined")
+        return EstimateReport(0.0, q1_ci, None, None, None, "no accepted events: e1 undefined")
     fracs = tuple(c / t.accepted for c in t.per_case_accepted)
     note = "" if t.config.basis == "z" else "x basis: 'errors' counts equal key-holder x bits"
     return EstimateReport(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from wqkd import protocol
-from wqkd.amplitude import Amplitude
+from wqkd.amplitude import Amplitude, accumulate
 from wqkd.analyzer import DISTINGUISHABLE_LABELS, INPUT_MODES, derive_detection_table, w_analyzer
-from wqkd.fock import FockState, Mode, Monomial, monomial, multiplicity_factor
+from wqkd.fock import FockState, Mode, ModeMap, Monomial, monomial, multiplicity_factor
 from wqkd.keyrate import AnalyzerConstants
 from wqkd.protocol import _CHUNK, N_SLOTS, Tally, slot_mask
 from wqkd.qubits import encode_fock, w_state
@@ -76,11 +76,29 @@ def w_state_chains():
 
 
 def _survivor_state(survivors, basis):
-    """The survivors' propagated state in Amplitude arithmetic: one
-    Amplitude per output, the oracle of the rows ``protocol._outcomes``
-    evaluates."""
-    photons, images = protocol._survivor_images(survivors, basis)
-    return photons.apply_mode_map(images)
+    """The survivors' propagated state in Amplitude arithmetic, one
+    configuration at a time: one Amplitude per output, the oracle of the rows
+    ``protocol._outcomes`` evaluates.
+
+    A photon of party p with bit b enters as sum_t w_t a†[p, t]: w = {b: 1} in
+    the Z basis, {0: 1/sqrt2, 1: +-1/sqrt2} in X.  The analyzer is linear, so
+    its image is the same weighted sum of the composed map's image of p,
+    shifted by t bins, and the survivors' output is their one bin-0 monomial
+    propagated through these images.
+    """
+    root = Amplitude.gauss(1, 0, 1)
+    composed = w_analyzer().composed_map
+    images = {}
+    for party, bit in survivors:
+        sp = INPUT_MODES[party]
+        weights = {bit: Amplitude.one()} if basis == "z" else {0: root, 1: -root if bit else root}
+        image: dict[tuple[str, int], Amplitude] = {}
+        for out, dt, a in composed.entries[sp]:
+            for t, w in weights.items():
+                accumulate(image, (out, dt + t), a * w)
+        images[sp] = tuple((out, dt, a) for (out, dt), a in image.items())
+    photons = FockState.from_monomial(Mode(INPUT_MODES[party], 0) for party, _ in survivors)
+    return photons.apply_mode_map(ModeMap(images))
 
 
 def _x_superposition_outcomes(survivor_xbits, delta, propagate=None):

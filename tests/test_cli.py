@@ -276,6 +276,21 @@ def test_simulate_prints_zero_gain_exact_qber_as_undefined(capsys):
     assert (fields["Q1_exact"], fields["e1_exact"], fields["e1_hat"]) == ("0.00000000000e+00", "", "")
 
 
+def test_simulate_prints_per_case_fractions_without_accepted_events_as_undefined(capsys):
+    # with nothing accepted the fractions are 0/0; five printed zeros would not sum to 1
+    flags = ("simulate", "--eta", "0", "--y0", "0", "--trials", "1000")
+    code, out, err = run(capsys, *flags)
+    assert (code, err) == (0, "")
+    assert "\naccepted = 0\n" in out
+    assert "\nper_case_accepted_fraction = undefined (no accepted events)\n" in out
+    code, out, err = run(capsys, *flags, "--format", "csv")
+    assert (code, err) == (0, "")
+    _, names, values, _ = out.splitlines()
+    fields = dict(zip(names.split(","), values.split(",")))
+    assert fields["accepted"] == "0"
+    assert [fields[f"case{i}_frac"] for i in range(1, 6)] == [""] * 5
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

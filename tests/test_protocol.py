@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqkd import protocol
-from wqkd.amplitude import Amplitude
+from wqkd import fock, protocol
+from wqkd.amplitude import Amplitude, _reduce_rows
 from wqkd.analyzer import INPUT_MODES, OUTPUT_MODES, w_analyzer
 from wqkd.errors import MixedPhaseWithoutDelta
 from wqkd.fock import FockState, Mode, ModeMap, monomial, multiplicity_factor
@@ -33,7 +34,7 @@ from wqkd.protocol import (
     wilson_interval,
 )
 
-from conftest import _survivor_state, _x_survivor_state
+from conftest import _reference_x_outcomes, _survivor_state, _x_survivor_state
 
 
 @pytest.mark.parametrize(
@@ -456,6 +457,58 @@ def test_x_outcomes_equal_amplitude_reference_bit_for_bit(monkeypatch, reference
             assert a.dtype == b.dtype and np.array_equal(a, b), (delta, name)
 
 
+def test_a_new_delay_runs_no_kernel(monkeypatch):
+    # X rows are signed sums of the cached product rows, so once they exist a
+    # further delay costs one merge and one evaluation per configuration
+    protocol._live_rows.__wrapped__(math.pi / 8)  # one X fill
+    want = protocol._live_rows.__wrapped__(0.7)
+    monkeypatch.setattr(fock, "_times_image", lambda *args: pytest.fail("the kernel ran"))
+    got = protocol._live_rows.__wrapped__(0.7)
+    for name in ("label_bit", "cls", "prob", "mask", "free"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_product_rows_keep_their_memory_bound():
+    # sources kept apart share no rows: 1.3 MB peak in passes of four
+    # sources, 3.9 MB in one pass; stored narrow, the rows take 0.11 MB
+    w_analyzer().composed_map  # cached, and no part of the batch
+    tracemalloc.start()
+    try:
+        slots, rows = protocol._product_rows.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert len(rows) == 81
+    for c, (codes, ks, nums, _) in rows.items():
+        for column in (codes, ks, nums):
+            assert column.dtype == fock._narrow(column.astype(np.int64)).dtype == np.int8, c
+
+
+def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
+    # no survivor: the vacuum, certain in either basis
+    (vacuum,) = _survivor_state((), "z").terms()
+    assert vacuum == ((), Amplitude.one())
+    assert protocol._outcomes((), None) == (((), Fraction(1), 0, True),)
+    assert type(protocol._outcomes((), None)[0][1]) is Fraction
+    for delta in (0.0, 0.7):
+        assert protocol._outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
+    # each configuration's rows in the batch are those of its own kernel call,
+    # up to the slot numbering and the half-power, which reduction removes
+    slots, rows = protocol._product_rows()
+    composed = w_analyzer().composed_map
+    for c, (codes, ks, nums, h) in rows.items():
+        own_slots, ((own_codes, own_ks, own_nums, own_h),) = FockState.from_monomial(
+            protocol._product_monomial(c)
+        ).image_rows(composed)
+        outputs = [[slots[i] for i in row] for row in codes.tolist()]
+        assert outputs == [[own_slots[i] for i in row] for row in own_codes.tolist()], c
+        assert np.array_equal(ks, own_ks), c
+        for a, b in zip(_reduce_rows(nums.astype(np.int64), h), _reduce_rows(own_nums, own_h)):
+            assert np.array_equal(a, b), c
+
+
 _small = st.integers(-4, 4)
 _coef = st.tuples(_small, _small, st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 5))  # (p, q, r, s, h)
 _photons = st.lists(st.builds(Mode, st.sampled_from("abc"), st.integers(0, 1)), max_size=4)
@@ -650,9 +703,11 @@ def test_estimate_edges():
     empty = Tally(cfg, 1000, 0, 0, 0, (0,) * 5, (0,) * 5)
     rep = estimate(empty)
     assert rep.q1_hat == 0.0 and rep.e1_hat is None
+    assert rep.per_case_fraction is None  # 0/0, not five zeros that fail to sum to 1
     full = Tally(cfg, 1000, 1000, 1000, 0, (0, 0, 0, 0, 1000), (0,) * 5)
     rep = estimate(full)
     assert rep.q1_hat == 1.0 and rep.e1_hat == 0.0
+    assert rep.per_case_fraction == (0.0, 0.0, 0.0, 0.0, 1.0)
     synthetic = Tally(cfg, 10**6, 4000, 3906, 0, (0, 0, 0, 0, 3906), (0,) * 5)
     assert estimate(synthetic).q1_hat == pytest.approx(3.906e-3)
 
