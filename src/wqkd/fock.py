@@ -183,8 +183,9 @@ class FockState:
         for n, group in by_photons.items():
             h = base + n * half
             if not per_source:
-                rows = _propagate(group, base, index, table)
-                _, codes, ks, nums = rows if len(group) == 1 else _merge_sources(rows, len(group))
+                src, codes, ks, nums = _propagate(group, base, index, table)
+                if len(group) > 1:
+                    _, codes, ks, nums = _checked_merge((np.zeros_like(src), codes, ks, nums), len(group))
                 blocks.append((codes, ks, nums, h))
                 continue
             for start in range(0, len(group), _PASS):
@@ -348,13 +349,13 @@ def _times_image(rows: _Rows, modes: np.ndarray, table: tuple) -> _Rows:
     return _merge(src[left], codes, ks[left] + iks[mode, entry], np.column_stack(prod))
 
 
-def _merge_sources(rows: _Rows, n_sources: int) -> _Rows:
-    """Merge the outputs of all input monomials into one block."""
+def _checked_merge(rows: _Rows, n_terms: int) -> _Rows:
+    """``_merge`` of rows of which at most ``n_terms`` share a key, with the
+    numerators as Python ints where their sum could overflow int64."""
     src, codes, ks, nums = rows
-    # each source holds at most one row per key
-    if nums.dtype != object and _magnitude(nums) * n_sources >= _INT64_LIMIT:
+    if nums.dtype != object and _magnitude(nums) * n_terms >= _INT64_LIMIT:
         nums = nums.astype(object)
-    return _merge(np.zeros_like(src), codes, ks, nums)
+    return _merge(src, codes, ks, nums)
 
 
 def _merge(src: np.ndarray, codes: np.ndarray, ks: np.ndarray, nums: np.ndarray) -> _Rows:

@@ -14,6 +14,12 @@ Two accounting modes:
 * ``physical`` - raw threshold semantics: a slot clicks when at least one
                  photon or dark event lands in it; bunching is invisible.
 
+The enumerator and the sampler read tables of live outcomes only: an
+outcome whose slot mask lies outside every detection pattern is never
+announced, since dark counts only add clicks.  The tables come from one
+cached kernel batch over the survivors' product monomials, with the dead
+rows dropped before any merge, evaluated a few configurations per pass.
+
 The Monte-Carlo sampler realizes the same model with counter-based randomness:
 fixed-size chunks, each drawing from a Philox stream keyed by (seed, chunk
 index), so a tally depends only on the seed and the trial count.  A chunk
@@ -32,8 +38,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
-from typing import Iterable
+from itertools import groupby, product
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,7 +52,7 @@ from .analyzer import (
     w_analyzer,
 )
 from .errors import MixedPhaseWithoutDelta
-from .fock import FockState, Mode, Monomial, _merge_sources, monomial
+from .fock import _PASS, FockState, Mode, Monomial, _checked_merge, monomial
 from .keyrate import left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
@@ -134,54 +140,131 @@ def _wide(column: np.ndarray) -> np.ndarray:
     return column if column.dtype == object else column.astype(np.int64)
 
 
-def _outcomes(
-    survivors: tuple[tuple[int, int], ...], delta: float | None
-) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
-    """Monomial, probability, slot mask and bunching flag of each output:
-    Z basis for ``delta=None``, X at delta otherwise, both from the cached
-    product rows.
+def _slot_bits(slots: list[Mode]) -> np.ndarray:
+    return np.array([1 << (_SLOT_OFFSET[m.spatial] + m.bin) for m in slots], np.int64)
+
+
+@functools.cache
+def _click_lookup() -> tuple[np.ndarray, np.ndarray]:
+    """Per click mask: ``1 << index`` of the label whose pattern it is (0 if
+    none), and whether it lies inside some pattern, the empty mask included."""
+    label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
+    live = np.zeros(1 << N_SLOTS, dtype=bool)
+    for label, pats in derive_detection_table().patterns.items():
+        for pattern in pats:
+            pmask = slot_mask(pattern)
+            label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
+            sub = pmask
+            while True:  # every submask of the pattern, the empty one included
+                live[sub] = True
+                if not sub:
+                    break
+                sub = (sub - 1) & pmask
+    return label_bit, live
+
+
+@functools.cache
+def _live_product_rows() -> dict[tuple[tuple[int, int], ...], tuple]:
+    """The product rows of the outputs that lie inside some detection pattern.
+
+    Liveness depends on an output's slots alone, so every row of an output is
+    kept or dropped with it, and so is every X output merged from the blocks.
+    """
+    slots, rows = _product_rows()
+    bits, live = _slot_bits(slots), _click_lookup()[1]
+    out = {}
+    for c, (codes, ks, nums, h) in rows.items():
+        keep = live[np.bitwise_or.reduce(bits[codes], axis=1)]
+        out[c] = (codes[keep], ks[keep], nums[keep], h)
+    return out
+
+
+def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[list, tuple]]:
+    """The outputs of survivor configurations from their ``rows`` (product
+    rows, or their live view): Z basis for ``delta=None``, X at delta
+    otherwise.
 
     The analyzer is linear.  A Z configuration is its own product monomial.
     In X each photon of party p with bit x enters as (a†[p, 0] + (-1)**x
     a†[p, 1]) / sqrt2, so the survivors' input is 2**(-k/2) times the sum
     over bits z of (-1)**(x.z) times the product monomial with bits z: its
     rows are the 2**k signed Z blocks merged, at half-power h + k.
+
+    Runs of consecutive configurations with equal photon number k are
+    evaluated in passes of at most ``_PASS``: the blocks of a pass are
+    concatenated with the configuration's index in the pass as their source,
+    and one ``_row_outcomes`` call evaluates them.  Yields each pass's
+    configurations and outputs.
     """
+    slots, _ = _product_rows()
+    for k, run in groupby(configs, key=len):
+        run = list(run)
+        for start in range(0, len(run), _PASS):
+            part = run[start : start + _PASS]
+            blocks = []
+            for i, survivors in enumerate(part):
+                if delta is None:
+                    signed = [(rows[survivors], 0)]
+                else:
+                    parties = [party for party, _ in survivors]
+                    signed = [
+                        (rows[tuple(zip(parties, zbits))], sum(x & z for (_, x), z in zip(survivors, zbits)))
+                        for zbits in product((0, 1), repeat=k)
+                    ]
+                for (codes, ks, nums, h), flips in signed:
+                    nums = _wide(nums)
+                    blocks.append((np.full(len(ks), i), _wide(codes), _wide(ks), -nums if flips % 2 else nums))
+            src, codes, ks, nums = (np.concatenate(column) for column in zip(*blocks))
+            if delta is not None:
+                src, codes, ks, nums = _checked_merge((src, codes, ks, nums), 1 << k)
+                h += k
+            yield part, _row_outcomes(slots, src, codes, ks, nums, h, delta)
+
+
+def _outcomes(
+    survivors: tuple[tuple[int, int], ...], delta: float | None
+) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
+    """Monomial, probability, slot mask and bunching flag of every output of
+    one configuration: Z basis for ``delta=None``, X at delta otherwise."""
     slots, rows = _product_rows()
-    if delta is None:
-        codes, ks, nums, h = rows[survivors]
-        return _row_outcomes(slots, _wide(codes), _wide(ks), _wide(nums), h, None)
-    parties = [party for party, _ in survivors]
-    signed = []
-    for zbits in product((0, 1), repeat=len(survivors)):
-        codes, ks, nums, h = rows[tuple(zip(parties, zbits))]
-        flips = sum(x & z for (_, x), z in zip(survivors, zbits))
-        signed.append((_wide(codes), _wide(ks), _wide(nums) * (-1) ** flips))
-    codes, ks, nums = (np.concatenate(column) for column in zip(*signed))
-    if len(signed) > 1:
-        _, codes, ks, nums = _merge_sources((np.zeros_like(ks), codes, ks, nums), len(signed))
-    return _row_outcomes(slots, codes, ks, nums, h + len(survivors), delta)
+    ((_, (_, codes, prob, mask, free)),) = _passes(rows, [survivors], delta)
+    modes = np.fromiter(slots, object, len(slots))
+    mons = zip(*(modes[col] for col in codes.T)) if codes.shape[1] else [()] * len(codes)
+    return tuple(zip(mons, prob.tolist(), mask.tolist(), free.tolist()))
 
 
 def _row_outcomes(
-    slots: list[Mode], codes: np.ndarray, ks: np.ndarray, nums: np.ndarray, h: int, delta: float | None
-) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
-    """The outputs of one block of kernel rows, evaluated at delta.
+    slots: list[Mode],
+    src: np.ndarray,
+    codes: np.ndarray,
+    ks: np.ndarray,
+    nums: np.ndarray,
+    h: int,
+    delta: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The outputs of a block of kernel rows, evaluated at delta.
+
+    Rows come sorted by source, then by codes; a new output starts wherever
+    the source or the codes change.  Returns the source, slot codes,
+    probability, slot mask and bunching-free flag of each output, in row
+    order.
 
     Each probability is the one ``Amplitude.abs2(delta) * multiplicity``
     gives, as a float at a delay.  A single phase power is the exact
     |c|^2 * mult: a Fraction at ``delta=None`` when it is rational, else
     rounded once.  A sum needs a delay; it is evaluated in the float
     operations of ``Amplitude.evaluate``: each canonical coefficient times
-    exp(i k delta), added in ascending k from 0, then squared in modulus.
+    exp(i k delta), added in ascending k, then squared in modulus.  Sources
+    evaluated together give the values each would give alone.
     """
+    dtype = object if delta is None else float
     if not len(ks):  # every output cancelled
-        return ()
+        return src, codes, np.empty(0, dtype), np.empty(0, np.int64), np.empty(0, bool)
     if nums.dtype != object and np.abs(nums).max() >= 1 << 26:  # |c|^2 * mult might overflow int64
         nums = nums.astype(object)
     p, q, r, s, hs = _reduce_rows(nums, h)
     first = np.ones(len(ks), bool)  # the first row of each output
-    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+    first[1:] = (src[1:] != src[:-1]) | (codes[1:] != codes[:-1]).any(axis=1)
     output = np.cumsum(first) - 1  # of each row
     heads = codes[first]
     mult = np.ones(len(heads), np.int64)  # product of n! over slot occupations
@@ -189,10 +272,9 @@ def _row_outcomes(
     for j in range(1, heads.shape[1]):
         run = np.where(heads[:, j] == heads[:, j - 1], run + 1, 1)
         mult *= run
-    bits = np.array([1 << (_SLOT_OFFSET[m.spatial] + m.bin) for m in slots], np.int64)
-    mask = np.bitwise_or.reduce(bits[heads], axis=1)
+    mask = np.bitwise_or.reduce(_slot_bits(slots)[heads], axis=1)
 
-    prob = np.empty(len(heads), object if delta is None else float)
+    prob = np.empty(len(heads), dtype)
     single = np.bincount(output) == 1
     # one coefficient: |c|^2 = (plain + root * sqrt2) / 2**h, as _cabs2 has it
     plain, root, h1 = (p * p + q * q + 2 * (r * r + s * s))[first], (2 * (p * r + q * s))[first], hs[first]
@@ -212,8 +294,9 @@ def _row_outcomes(
         if mixed.size:
             raise MixedPhaseWithoutDelta(f"an output mixes phase powers {ks[output == mixed[0]].tolist()}: no delta")
     else:
-        # several: sum_k c_k * exp(i k delta) with a dense column per k; a missing
-        # power adds +0.0, which changes no sum but the sign of a zero
+        # several: sum_k c_k * exp(i k delta) with a dense column per k over
+        # the block's range; a power an output lacks adds +0.0, which changes
+        # no sum but the sign of a zero, and abs() drops that sign
         low = int(ks.min())
         phase = []
         for k in range(low, int(ks.max()) + 1):
@@ -237,13 +320,30 @@ def _row_outcomes(
             abs(complex(a, b)) ** 2 * m
             for a, b, m in zip(sum_re[mixed].tolist(), sum_im[mixed].tolist(), mult[mixed].tolist())
         ]
-    modes = np.fromiter(slots, object, len(slots))
-    mons = zip(*(modes[col] for col in heads.T)) if heads.shape[1] else [()] * len(heads)
-    return tuple(zip(mons, prob.tolist(), mask.tolist(), (mult == 1).tolist()))
+    return src[first], heads, prob, mask, mult == 1
 
 
-# the analyzer is fixed, so the Z table holds at most 81 survivor configurations
-_z_outcomes = functools.cache(functools.partial(_outcomes, delta=None))
+def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    """The live outputs of all 81 survivor configurations: Z basis for
+    ``delta=None``, X at delta otherwise.
+
+    Returns the span of each configuration's outputs and the probability,
+    slot mask and bunching-free flag of each output, in the order
+    ``_outcomes`` lists them.
+    """
+    span, prob, mask, free = {}, [], [], []
+    size = 0
+    for part, (src, _, *columns) in _passes(_live_product_rows(), _CONFIGS, delta):
+        for c, n in zip(part, np.bincount(src, minlength=len(part)).tolist()):
+            span[c] = slice(size, size + n)
+            size += n
+        for column, values in zip((prob, mask, free), columns):
+            column.append(values)
+    return span, *(np.concatenate(column) for column in (prob, mask, free))
+
+
+# the analyzer is fixed: the Z table holds the 81 survivor configurations once, exact
+_z_outcomes = functools.cache(functools.partial(_live_outcomes, None))
 
 
 def _party_bit(bits: int, party: int) -> int:
@@ -256,6 +356,8 @@ _SURVIVORS = [
     for bits in range(16)
     for surv in range(16)
 ]
+# the distinct survivor configurations, by photon number, for the evaluation passes
+_CONFIGS = sorted(set(_SURVIVORS), key=lambda c: (len(c), c))
 
 
 def _sift(bits: int, cfg: TrialConfig) -> tuple[tuple[int, ...], bool]:
@@ -320,11 +422,12 @@ class _ClickTerms:
 def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
     """Walk labels, then their patterns in table order, then photon outcomes."""
     patterns = derive_detection_table().patterns
-    outcomes = _z_outcomes(survivors)
-    unit = math.lcm(*(p.denominator for _, p, _, _ in outcomes))  # exact sums in integers
+    span, probs, masks, frees = _z_outcomes()
+    own = span[survivors]  # its live outcomes: no other one lies inside a pattern
+    unit = math.lcm(*(p.denominator for p in probs[own]))  # exact sums in integers
     rows = [
         (mmask, 4 - bin(mmask).count("1"), free, p.numerator * (unit // p.denominator), float(p))
-        for _, p, mmask, free in outcomes
+        for p, mmask, free in zip(probs[own].tolist(), masks[own].tolist(), frees[own].tolist())
     ]
     paper = 0
     coeffs = [0] * 5
@@ -448,6 +551,8 @@ class _LiveRows:
 
     An outcome is live when its slot mask lies inside some detection pattern.
     Dark counts only add clicks, so no other outcome can ever be announced.
+    Each class holds its survivor configuration's span of the live table
+    (``_live_outcomes``), with float probabilities.
     ``merged(basis, mode, announcers)`` is the sampler's entry merge of these
     rows for one sift, cached.
     """
@@ -467,40 +572,16 @@ class _LiveRows:
 @functools.lru_cache(maxsize=2)  # the Z rows and one X delay
 def _live_rows(delta: float | None) -> _LiveRows:
     """Live rows: Z basis for ``delta=None``, else X at that delay."""
-    label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
-    live: set[int] = set()
-    for label, pats in derive_detection_table().patterns.items():
-        for pattern in pats:
-            pmask = slot_mask(pattern)
-            label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
-            sub = pmask
-            while True:  # every submask of the pattern, the empty one included
-                live.add(sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & pmask
-    # the Z lists are cached; an X delay's lists are built once, here
-    outcomes_of = _z_outcomes if delta is None else functools.partial(_outcomes, delta=delta)
-    outcomes: list[tuple[float, int, bool]] = []
-    spans: dict[tuple, range] = {}  # survivor configuration -> its rows of outcomes
-    of_class = []
-    for cid in range(256):
-        survivors = _SURVIVORS[cid]
-        span = spans.get(survivors)
-        if span is None:
-            # dead outcomes are dropped before their probabilities are converted
-            new = [(float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
-            span = spans[survivors] = range(len(outcomes), len(outcomes) + len(new))
-            outcomes += new
-        of_class.append(span)
-    take = np.fromiter(chain.from_iterable(of_class), dtype=np.intp)
-    prob, mask, free = (np.array(column)[take] for column in zip(*outcomes))
+    # the Z table is cached; an X delay's table is built once, here
+    span, prob, mask, free = _z_outcomes() if delta is None else _live_outcomes(delta)
+    spans = [span[survivors] for survivors in _SURVIVORS]
+    take = np.concatenate([np.arange(s.start, s.stop) for s in spans])
     return _LiveRows(
-        label_bit,
-        np.repeat(np.arange(256), [len(span) for span in of_class]),
-        prob,
-        mask.astype(np.uint32),
-        free,
+        _click_lookup()[0],
+        np.repeat(np.arange(256), [s.stop - s.start for s in spans]),
+        prob[take].astype(float),
+        mask[take].astype(np.uint32),
+        free[take],
     )
 
 

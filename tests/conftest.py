@@ -1,4 +1,5 @@
 import functools
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def _survivor_state(survivors, basis):
     return photons.apply_mode_map(ModeMap(images))
 
 
+@functools.cache  # at most 81 configurations, shared by the tests that read them
+def _reference_z_outcomes(survivors):
+    """The Z outcome oracle in Amplitude arithmetic: one Amplitude per output,
+    its exact ``abs2() * multiplicity``, which ``protocol._outcomes(survivors,
+    None)`` must equal in value and type."""
+    return tuple(
+        (mon, amp.abs2() * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
+        for mon, amp in _survivor_state(survivors, "z").terms()
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_z_outcomes():
+    return _reference_z_outcomes
+
+
 def _x_superposition_outcomes(survivor_xbits, delta, propagate=None):
     """The X outcome oracle: tensor each photon's (t0 +- t1)/sqrt2 into one
     2^k-term input state, propagate it, and evaluate every output at delta."""
@@ -147,6 +164,52 @@ def _reference_x_outcomes(survivors, delta):
 @pytest.fixture(scope="session")
 def reference_x_outcomes():
     return _reference_x_outcomes
+
+
+@functools.cache
+def _live_masks():
+    """The click mask -> label bit table, and the set of live masks: every
+    submask of every detection pattern, the empty one included."""
+    label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
+    live = set()
+    for label, pats in derive_detection_table().patterns.items():
+        for pattern in pats:
+            pmask = slot_mask(pattern)
+            label_bit[pmask] = 1 << protocol._LABEL_TO_IDX[label]
+            sub = pmask
+            while True:
+                live.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & pmask
+    return label_bit, live
+
+
+def _reference_live_rows(outcomes_of):
+    """The live-row oracle: each survivor configuration's listing
+    ``outcomes_of(survivors)`` with its dead outcomes dropped, laid out per
+    input class, which ``protocol._live_rows`` must equal array for array."""
+    label_bit, live = _live_masks()
+    outcomes = []
+    spans = {}  # survivor configuration -> its rows of outcomes
+    of_class = []
+    for cid in range(256):
+        survivors = protocol._SURVIVORS[cid]
+        span = spans.get(survivors)
+        if span is None:
+            new = [(float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
+            span = spans[survivors] = range(len(outcomes), len(outcomes) + len(new))
+            outcomes += new
+        of_class.append(span)
+    take = np.fromiter(chain.from_iterable(of_class), dtype=np.intp)
+    prob, mask, free = (np.array(column)[take] for column in zip(*outcomes))
+    cls = np.repeat(np.arange(256), [len(span) for span in of_class])
+    return protocol._LiveRows(label_bit, cls, prob, mask.astype(np.uint32), free)
+
+
+@pytest.fixture(scope="session")
+def reference_live_rows():
+    return _reference_live_rows
 
 
 def _reference_entries(cfg, rows):

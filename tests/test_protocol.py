@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wqkd import fock, protocol
 from wqkd.amplitude import Amplitude, _reduce_rows
-from wqkd.analyzer import INPUT_MODES, OUTPUT_MODES, w_analyzer
+from wqkd.analyzer import INPUT_MODES, OUTPUT_MODES, derive_detection_table, w_analyzer
 from wqkd.errors import MixedPhaseWithoutDelta
 from wqkd.fock import FockState, Mode, ModeMap, monomial, multiplicity_factor
 from wqkd.keyrate import (
@@ -34,7 +34,7 @@ from wqkd.protocol import (
     wilson_interval,
 )
 
-from conftest import _reference_x_outcomes, _survivor_state, _x_survivor_state
+from conftest import _live_masks, _reference_x_outcomes, _reference_z_outcomes, _survivor_state, _x_survivor_state
 
 
 @pytest.mark.parametrize(
@@ -169,8 +169,9 @@ def test_physical_gap_vanishes_with_dark_counts():
 
 def test_enumerator_total_mass():
     # the click distribution of every survivor configuration is normalized,
-    # so weights alone must sum to one over inputs and survival subsets
-    from wqkd.protocol import _party_bit, _z_outcomes
+    # dead outcomes included, so weights alone must sum to one over inputs
+    # and survival subsets
+    from wqkd.protocol import _outcomes, _party_bit
 
     eta = Fraction(1, 3)
     total = Fraction(0)
@@ -184,7 +185,7 @@ def test_enumerator_total_mass():
                     survivors.append((party, _party_bit(bits, party)))
                 else:
                     weight *= 1 - eta
-            mass = sum((p for _, p, _, _ in _z_outcomes(tuple(survivors))), Fraction(0))
+            mass = sum((p for _, p, _, _ in _outcomes(tuple(survivors), None)), Fraction(0))
             assert mass == 1
             total += weight
     assert total == 1
@@ -382,7 +383,8 @@ def cleared_rows():
 
 
 def test_x_caches_hold_one_delay(monkeypatch, cleared_rows):
-    monkeypatch.setattr(protocol, "_outcomes", lambda survivors, delta: ((None, 1.0, 0, True),))
+    # an X table stands in for itself with the cached Z one
+    monkeypatch.setattr(protocol, "_live_outcomes", lambda delta: protocol._z_outcomes())
     z_rows = protocol._live_rows(None)
     for delta in (0.1, 0.2, 0.3):
         protocol._live_rows(delta)  # a sweep: the oldest rows go first
@@ -394,10 +396,10 @@ def test_x_caches_hold_one_delay(monkeypatch, cleared_rows):
 
 
 def test_z_and_x_rows_never_share_a_key(monkeypatch):
-    # rows are rebuilt on every miss; the real delta-0 X outcomes are computed once
+    # rows are rebuilt on every miss; the real delta-0 X table is computed once
     # here, and the sweep's other delay only has to push the Z rows out
-    real = functools.cache(protocol._outcomes)
-    monkeypatch.setattr(protocol, "_outcomes", lambda s, delta: real(s, delta) if delta == 0 else ((None, 1.0, 0, True),))
+    real = functools.cache(protocol._live_outcomes)
+    monkeypatch.setattr(protocol, "_live_outcomes", lambda delta: real(delta) if delta == 0 else protocol._z_outcomes())
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-3, trials=200_000, seed=17)
     x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
     assert z.delta == x.delta == 0.0
@@ -436,25 +438,42 @@ def test_x_outcomes_equal_superposition_reference(x_superposition_outcomes):
 _X_DELAYS = (0.0, math.pi / 8, math.pi / 2, 0.3, -1.1, 2 * math.pi, 7.0, 1e3, 1e300)
 
 
-def test_x_outcomes_equal_amplitude_reference_bit_for_bit(monkeypatch, reference_x_outcomes):
+def _assert_same_rows(rows, oracle, delta):
+    for name in ("label_bit", "cls", "prob", "mask", "free"):
+        a, b = getattr(rows, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (delta, name)
+
+
+def test_x_outcomes_equal_amplitude_reference_bit_for_bit(reference_x_outcomes, reference_live_rows):
     # every survivor configuration at delays where phi -> 1 or i, generic ones,
     # and one where k * delta needs the full float range; the live rows built
     # from the oracle's lists must be the sampler's arrays exactly
-    real = protocol._outcomes
+    configs = sorted(set(protocol._SURVIVORS))
     for delta in _X_DELAYS:
-        got = {}
-        monkeypatch.setattr(protocol, "_outcomes", lambda s, delta: got.setdefault(s, real(s, delta)))
-        rows = protocol._live_rows.__wrapped__(delta)
-        assert len(got) == 81
-        want = {c: reference_x_outcomes(c, delta) for c in got}
-        for c, outcomes in got.items():
+        want = {c: reference_x_outcomes(c, delta) for c in configs}
+        for c in configs:
+            outcomes = protocol._outcomes(c, delta)
             assert outcomes == want[c], (delta, c)
             assert all(math.isfinite(p) for _, p, _, _ in outcomes), (delta, c)
-        monkeypatch.setattr(protocol, "_outcomes", lambda s, delta: want[s])
-        oracle = protocol._live_rows.__wrapped__(delta)
-        for name in ("cls", "prob", "mask", "free"):
-            a, b = getattr(rows, name), getattr(oracle, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (delta, name)
+        _assert_same_rows(protocol._live_rows.__wrapped__(delta), reference_live_rows(want.__getitem__), delta)
+
+
+def test_z_live_rows_equal_the_reference_lists(reference_z_outcomes, reference_live_rows):
+    _assert_same_rows(protocol._live_rows.__wrapped__(None), reference_live_rows(reference_z_outcomes), None)
+
+
+@pytest.mark.parametrize("delta", [None, math.pi / 8], ids=["z", "x-pi/8"])
+def test_live_tables_drop_only_dead_outputs(delta):
+    # the live view of the product rows keeps every output inside a pattern
+    # and no other, in the full listing's order, value and type
+    live = _live_masks()[1]
+    span, prob, mask, free = protocol._z_outcomes() if delta is None else protocol._live_outcomes(delta)
+    assert sorted(span) == sorted(set(protocol._SURVIVORS))
+    assert sum(s.stop - s.start for s in span.values()) == len(prob) == len(mask) == len(free)
+    for c, own in span.items():
+        want = [(type(p), p, m, f) for _, p, m, f in protocol._outcomes(c, delta) if m in live]
+        got = [(type(p), p, m, f) for p, m, f in zip(prob[own].tolist(), mask[own].tolist(), free[own].tolist())]
+        assert got == want, c
 
 
 def test_a_new_delay_runs_no_kernel(monkeypatch):
@@ -484,6 +503,20 @@ def test_product_rows_keep_their_memory_bound():
     for c, (codes, ks, nums, _) in rows.items():
         for column in (codes, ks, nums):
             assert column.dtype == fock._narrow(column.astype(np.int64)).dtype == np.int8, c
+
+
+def test_a_cold_x_fill_keeps_its_memory_bound():
+    # passes of four configurations over live rows peak at 2.4 MB; evaluating
+    # every output one configuration at a time peaked at 3.4 MB
+    protocol._product_rows()
+    derive_detection_table()
+    tracemalloc.start()
+    try:
+        protocol._live_rows.__wrapped__(0.45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
@@ -525,13 +558,21 @@ def _rows(powers):
 
 
 def _blocks(state, mm, scale):
-    """Each block of the scaled state's kernel rows with its outputs in
-    Amplitude arithmetic."""
+    """Each block of the scaled state's kernel rows, with one source, and its
+    outputs in Amplitude arithmetic."""
     state = state.scaled(Amplitude.gauss(scale))
     out = state.apply_mode_map(mm)
     slots, blocks = state.image_rows(mm)
-    for block in blocks:
-        yield slots, block, [(mon, amp) for mon, amp in out.terms() if len(mon) == block[0].shape[1]]
+    for codes, ks, nums, h in blocks:
+        block = (np.zeros(len(ks), np.int64), codes, ks, nums, h)
+        yield slots, block, [(mon, amp) for mon, amp in out.terms() if len(mon) == codes.shape[1]]
+
+
+def _listing(slots, outputs):
+    """(monomial, probability, slot mask, bunching-free flag) of each output."""
+    _, codes, prob, mask, free = outputs
+    mons = [tuple(slots[i] for i in row) for row in codes.tolist()]
+    return tuple(zip(mons, prob.tolist(), mask.tolist(), free.tolist()))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -545,7 +586,7 @@ def test_x_evaluation_equals_abs2_on_any_rows(state, mm, delta, scale):
             (mon, float(amp.abs2(delta) * multiplicity_factor(mon)), protocol.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, amp in amps
         )
-        assert protocol._row_outcomes(slots, *block, delta) == want
+        assert _listing(slots, protocol._row_outcomes(slots, *block, delta)) == want
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -563,12 +604,55 @@ def test_evaluation_without_delay_equals_abs2_on_any_rows(state, mm, scale):
             (mon, amp.abs2() * multiplicity_factor(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, amp in amps
         ]
-        got = protocol._row_outcomes(slots, *block, None)
+        got = _listing(slots, protocol._row_outcomes(slots, *block, None))
         assert got == tuple(want)
         assert [type(p) for _, p, _, _ in got] == [type(p) for _, p, _, _ in want]
 
 
-def test_z_outcomes_equal_direct_propagation():
+def _evaluated(slots, block, delta):
+    """``_row_outcomes`` of one block, or the message of the error it raised."""
+    try:
+        return protocol._row_outcomes(slots, *block, delta)
+    except MixedPhaseWithoutDelta as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    *_rows(2),
+    st.lists(st.integers(0, 3), min_size=2, max_size=3),
+    st.sampled_from((None, *_X_DELAYS)),
+    st.sampled_from((1, 2**40 + 1)),
+)
+def test_source_column_equals_per_source_calls(state, mm, picks, delta, scale):
+    # blocks of equal photon number evaluated together, told apart by their
+    # source, give what each gives alone, concatenated; a block picked twice
+    # puts equal codes on both sides of a source boundary
+    state = state.scaled(Amplitude.gauss(scale))
+    slots, rows = state.image_rows(mm, per_source=True)
+    by_photons = {}
+    for mon, (codes, ks, nums, h) in rows.items():
+        wide = [c if c.dtype == object else c.astype(np.int64) for c in (codes, ks, nums)]
+        by_photons.setdefault(len(mon), []).append((*wide, h))
+    for blocks in by_photons.values():
+        sources = [blocks[i % len(blocks)] for i in picks]
+        h = sources[0][3]
+        alone = [_evaluated(slots, (np.zeros(len(ks), np.int64), codes, ks, nums, h), delta) for codes, ks, nums, _ in sources]
+        src = np.repeat(np.arange(len(sources)), [len(ks) for _, ks, _, _ in sources])
+        together = _evaluated(slots, (src, *(np.concatenate(c) for c in list(zip(*sources))[:3]), h), delta)
+        raised = [a for a in alone if isinstance(a, str)]
+        if raised:
+            assert together == raised[0]
+            continue
+        want_src = np.concatenate([np.full(len(a[0]), i) for i, a in enumerate(alone)])
+        assert np.array_equal(together[0], want_src)
+        for j in (1, 3, 4):  # codes, mask, bunching-free flag
+            assert np.array_equal(together[j], np.concatenate([a[j] for a in alone]))
+        # repr tells a Fraction from a float and -0.0 from 0.0
+        assert list(map(repr, together[2].tolist())) == [repr(p) for a in alone for p in a[2].tolist()]
+
+
+def test_z_outcomes_equal_direct_propagation(reference_z_outcomes):
     # the reference: each survivor's own bin propagated as one monomial
     configs = sorted(set(protocol._SURVIVORS))
     assert len(configs) == 81
@@ -579,7 +663,8 @@ def test_z_outcomes_equal_direct_propagation():
             (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, _ in state.terms()
         )
-        outcomes = protocol._z_outcomes(c)
+        assert reference_z_outcomes(c) == reference, c
+        outcomes = protocol._outcomes(c, None)
         assert outcomes == reference, c
         assert all(type(p) is Fraction for _, p, _, _ in outcomes), c
 
@@ -725,7 +810,7 @@ def test_wilson_interval_sanity():
 def _walk_enumerate(cfg, tab):
     """The enumerator's walk over patterns x photon outcomes, kept verbatim as
     the reference for its cached click terms (the totals use the left fold)."""
-    from wqkd.protocol import EnumerationResult, _party_bit, _z_outcomes, slot_mask
+    from wqkd.protocol import EnumerationResult, _party_bit, slot_mask
 
     y0 = cfg.y0
     no_dark_rest = (1 - y0) ** 12
@@ -754,7 +839,7 @@ def _walk_enumerate(cfg, tab):
             if weight == 0:
                 continue
             k = len(survivors)
-            outcomes = _z_outcomes(tuple(survivors))
+            outcomes = _reference_z_outcomes(tuple(survivors))
             if cfg.mode == "paper":
                 probs = {mon: p for mon, p, _, free in outcomes if free}
                 click = Fraction(0)
