@@ -201,7 +201,7 @@ def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[li
         run = list(run)
         for start in range(0, len(run), _PASS):
             part = run[start : start + _PASS]
-            blocks = []
+            blocks, owner, sign = [], [], []
             for i, survivors in enumerate(part):
                 if delta is None:
                     signed = [(rows[survivors], 0)]
@@ -211,11 +211,17 @@ def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[li
                         (rows[tuple(zip(parties, zbits))], sum(x & z for (_, x), z in zip(survivors, zbits)))
                         for zbits in product((0, 1), repeat=k)
                     ]
-                for (codes, ks, nums, h), flips in signed:
-                    nums = _wide(nums)
-                    blocks.append((np.full(len(ks), i), _wide(codes), _wide(ks), -nums if flips % 2 else nums))
-            src, codes, ks, nums = (np.concatenate(column) for column in zip(*blocks))
+                for block, flips in signed:
+                    blocks.append(block)
+                    owner.append(i)
+                    sign.append(-1 if flips % 2 else 1)
+            # the narrow columns of a pass, widened once
+            codes, ks, nums = (_wide(np.concatenate(column)) for column in list(zip(*blocks))[:3])
+            h = blocks[0][3]  # every k-photon block lies at the same half-power
+            sizes = [len(block[1]) for block in blocks]
+            src = np.repeat(owner, sizes)
             if delta is not None:
+                nums = nums * np.repeat(sign, sizes)[:, None]
                 src, codes, ks, nums = _checked_merge((src, codes, ks, nums), 1 << k)
                 h += k
             yield part, _row_outcomes(slots, src, codes, ks, nums, h, delta)
@@ -398,29 +404,25 @@ class _ClickTerms:
     k: int  # surviving photons
     paper: Fraction  # summed probability of the terms with one photon per slot
     coeffs: tuple[Fraction, ...]  # coeffs[m]: summed probability of the terms missing m
-    probs: np.ndarray  # float probability of each term, in walk order
-    missing: np.ndarray  # m of each term
 
-    def click(self, mode: str, powers: list, exact: bool) -> Fraction | float:
-        """Sum of probability * y0**m over the terms, given powers[m] = y0**m."""
+    def click(self, mode: str, powers: list) -> Fraction:
+        """Exact sum of probability * y0**m over the terms, given powers[m] = y0**m."""
         if mode == "paper":  # photons land one per slot on a subset of the pattern
             return self.paper * powers[4 - self.k]
         # threshold semantics: any photon outcome inside the pattern counts;
         # darks complete the unclicked pattern slots
-        if exact:
-            click = Fraction(0)
-            for c, power in zip(self.coeffs, powers):
-                click += c * power
-            return click
-        if not self.probs.size:
-            return Fraction(0)
-        # added strictly left to right in walk order, as the walk itself adds
-        return float(np.add.accumulate(self.probs * np.array(powers)[self.missing])[-1])
+        click = Fraction(0)
+        for c, power in zip(self.coeffs, powers):
+            click += c * power
+        return click
 
 
-@functools.cache  # at most 81 survivor configurations x 2 Z label groups
-def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
-    """Walk labels, then their patterns in table order, then photon outcomes."""
+def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[_ClickTerms, tuple]:
+    """Walk labels, then their patterns in table order, then photon outcomes.
+
+    Returns the exact sums and the walk: the float probability and the
+    missing count m of each term, in walk order.
+    """
     patterns = derive_detection_table().patterns
     span, probs, masks, frees = _z_outcomes()
     own = span[survivors]  # its live outcomes: no other one lies inside a pattern
@@ -443,13 +445,63 @@ def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> _ClickTerms:
                 coeffs[m] += units
                 probs.append(p)
                 missing.append(m)
-    return _ClickTerms(
-        len(survivors),
-        Fraction(paper, unit),
-        tuple(Fraction(c, unit) for c in coeffs),
-        np.array(probs, dtype=float),
-        np.array(missing, dtype=np.intp),
-    )
+    exact = _ClickTerms(len(survivors), Fraction(paper, unit), tuple(Fraction(c, unit) for c in coeffs))
+    return exact, (tuple(probs), tuple(missing))
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Exact enumeration for one announcer pair, all but the channel.
+
+    ``entries`` lists each (input bits, survival subset) the announcers
+    accept, in the enumeration's loop order, as (survival subset, key,
+    surviving photons, error flag); a key indexes the distinct (survivors,
+    labels) click terms.  The float click sums of all keys come from one
+    column pass over ``probs`` and ``missing``.
+    """
+
+    entries: tuple[tuple[int, int, int, bool], ...]
+    terms: tuple[_ClickTerms, ...]  # per key
+    paper: tuple[tuple[float, int], ...]  # per key: float(terms.paper), 4 - k
+    column: np.ndarray  # per key: its walk's column; many keys walk alike
+    probs: np.ndarray  # column per distinct walk: its terms' float probabilities in order, zero-padded
+    missing: np.ndarray  # m of each term, zero-padded
+
+    def float_clicks(self, mode: str, powers: list) -> list[float]:
+        """Each key's click sum at a float y0, given powers[m] = y0**m, with
+        the bits of ``Fraction`` arithmetic on the walk's floats."""
+        if mode == "paper":  # Fraction * float is float(Fraction) * float
+            return [paper * powers[m] for paper, m in self.paper]
+        # each column added strictly top to bottom, as the walk adds its terms;
+        # every key has terms, and the pads add +0.0 to a non-negative sum
+        sums = np.add.accumulate(self.probs * np.array(powers)[self.missing], axis=0)[-1]
+        return sums[self.column].tolist()
+
+
+@functools.cache  # the Z sift is symmetric in the announcers: at most 6 sorted pairs
+def _plan(announcers: tuple[int, int]) -> _Plan:
+    """The sift and the click terms of one announcer pair, walked once."""
+    sift = TrialConfig(announcers=announcers)
+    keys: dict[tuple, int] = {}
+    entries = []
+    for bits in range(16):
+        labels, is_error = _sift(bits, sift)
+        if not labels:
+            continue
+        for surv in range(16):
+            survivors = _SURVIVORS[bits * 16 + surv]
+            key = keys.setdefault((survivors, labels), len(keys))
+            entries.append((surv, key, len(survivors), is_error))
+    terms, key_walks = zip(*(_click_terms(*key) for key in keys))
+    walks: dict[tuple, int] = {}  # 28 or 29 distinct walks for the 72 keys of a pair
+    column = [walks.setdefault(walk, len(walks)) for walk in key_walks]
+    probs = np.zeros((max(len(p) for p, _ in walks), len(walks)))
+    missing = np.zeros(probs.shape, np.intp)
+    for j, (p, m) in enumerate(walks):
+        probs[: len(p), j] = p
+        missing[: len(m), j] = m
+    paper = tuple((float(t.paper), 4 - t.k) for t in terms)
+    return _Plan(tuple(entries), terms, paper, np.array(column), probs, missing)
 
 
 def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
@@ -458,44 +510,47 @@ def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
     Sums over the 16 equally likely Z-basis inputs, the 16 photon-survival
     subsets, the exact click distribution of the surviving photons, and the
     dark-count completions of each detection-table pattern.  Exact (Fraction)
-    when the channel parameters are Fractions.  The click terms of each
-    survivor configuration are cached; a float y0 adds them in the order of
-    the (label, pattern, outcome) walk, so float results are the walk's to the
-    last bit.
+    when the channel parameters are Fractions.  The sift and the click terms
+    of each announcer pair are cached (``_plan``).  An exact y0 sums a key's
+    exact coefficients when a weight first needs it.  A float y0 evaluates
+    all keys at once: a paper click is float(paper) * y0**(4 - k), which is
+    what the Fraction gives; a physical click adds the key's terms strictly
+    in the order of the (label, pattern, outcome) walk, down its column of a
+    cumulative sum.  The weights and the case totals then take the same
+    Python operations, in the same order, as the walk, so float results are
+    the walk's to the last bit, and a case no weight reaches stays
+    ``Fraction(0)``.
     """
     if cfg.basis != "z":
         raise ValueError("exact enumeration is defined for the Z basis")
+    plan = _plan(tuple(sorted(cfg.announcers)))
     y0 = cfg.y0
     powers = [y0**m for m in range(5)]
-    exact_y0 = isinstance(y0, (int, Fraction))
+    # exact: a key's click is summed when a weight first needs it
+    clicks = [None] * len(plan.terms) if isinstance(y0, (int, Fraction)) else plan.float_clicks(cfg.mode, powers)
     no_dark_rest = (1 - y0) ** 12
+    # Fraction(1, 16) * float is 0.0625 * float: the same bits, no Fraction dispatch
+    first = 1 / 16 if isinstance(cfg.etas[0], float) else Fraction(1, 16)
+    factors = [(1 - eta, eta) for eta in cfg.etas]
     weights = []  # of the 16 photon-survival subsets
     for surv in range(16):
-        weight = Fraction(1, 16)
-        for party in range(4):
-            eta = cfg.etas[party]
-            weight = weight * eta if _party_bit(surv, party) else weight * (1 - eta)
+        weight = first
+        for party, factor in enumerate(factors):
+            weight = weight * factor[_party_bit(surv, party)]
         weights.append(weight)
-    clicks: dict[tuple, Fraction | float] = {}  # per (survivors, labels), at this y0
     gain = [Fraction(0)] * 5
     err = [Fraction(0)] * 5
-    for bits in range(16):
-        labels, is_error = _sift(bits, cfg)
-        if not labels:
+    for surv, key, k, is_error in plan.entries:
+        weight = weights[surv]
+        if weight == 0:
             continue
-        for surv, weight in enumerate(weights):
-            if weight == 0:
-                continue
-            survivors = _SURVIVORS[bits * 16 + surv]
-            k = len(survivors)
-            key = (survivors, labels)
-            click = clicks.get(key)
-            if click is None:
-                click = clicks[key] = _click_terms(*key).click(cfg.mode, powers, exact_y0)
-            contrib = weight * click * no_dark_rest
-            gain[k] += contrib
-            if is_error:
-                err[k] += contrib
+        click = clicks[key]
+        if click is None:
+            click = clicks[key] = plan.terms[key].click(cfg.mode, powers)
+        contrib = weight * click * no_dark_rest
+        gain[k] += contrib
+        if is_error:
+            err[k] += contrib
     total_gain = left_sum(gain)
     total_err = left_sum(err)
     e1 = None if total_gain == 0 else total_err / total_gain

@@ -201,6 +201,28 @@ def test_enumerate_command(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `wqkd enumerate --mode M --eta E --y0 Y` stdout at the corners of
+# the benchmark's (eta, y0) range, recorded when each float click was still
+# summed key by key
+_ENUMERATE_POINT_SHA256 = {
+    ("paper", "1e-3", "1e-7"): "97a98f128362b9e895466768c62751eacbaea44b97638239b7a527527ec602fb",
+    ("paper", "1e-3", "1e-3"): "c83fd363302beb4669d6076e419cfc469d0d16049da3a27f50d2cea8b56829dc",
+    ("paper", "0.9", "1e-7"): "44cbb0ee88629ec0184e7bc7e53bf2336945d5570cbc026112f25cdef46c1c34",
+    ("paper", "0.9", "1e-3"): "093ddfb10292066fa54c280ca9d339fc497a0dcf44fb515006dc9e0bf6a9fb0a",
+    ("physical", "1e-3", "1e-7"): "35cf83d04e94066492701c105bae701ef07941d8137e7ab50b2d8bf3f82b1433",
+    ("physical", "1e-3", "1e-3"): "02851d0d12f9d11315a6128b418667c7febf4654e471744eee82157f07f886fe",
+    ("physical", "0.9", "1e-7"): "993cd84f1f61b5240742d8c03abd811746688aa4c8f638d1b2c018fa0b63c27c",
+    ("physical", "0.9", "1e-3"): "1bbac8c76a565dd75b144597050e4790feb262a5975de8dabc724254f230adda",
+}
+
+
+@pytest.mark.parametrize("mode, eta, y0", _ENUMERATE_POINT_SHA256, ids="-".join)
+def test_enumerate_stdout_at_the_range_corners(capsys, mode, eta, y0):
+    code, out, _ = run(capsys, "enumerate", "--mode", mode, "--eta", eta, "--y0", y0)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_POINT_SHA256[mode, eta, y0]
+
+
 @pytest.mark.parametrize("flag", ["--eta=1.5", "--eta=-0.1", "--y0=-0.1", "--y0=1"])
 def test_simulate_rejects_out_of_range_channel(capsys, flag):
     code, out, err = run(capsys, "simulate", "--trials", "10", flag)

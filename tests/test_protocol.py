@@ -906,3 +906,46 @@ def test_cached_click_terms_equal_the_walk_bit_for_bit(table):
     assert {c.mode for c in configs} == {"paper", "physical"}
     for cfg in configs + exact:
         assert _same_bits(exact_enumerate(cfg), _walk_enumerate(cfg, table)), cfg
+
+
+# mixed channel types: each weight and total must take the walk's type at
+# every step, the first eta deciding whether a weight starts as a Fraction
+_MIXED_CHANNELS = {
+    "fraction-etas-float-y0": ((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)), 1e-4),
+    "float-first-then-fraction-and-int": ((0.3, Fraction(1, 4), 1, Fraction(3, 5)), 2e-3),
+    "float-first-then-int-0": ((0.7, 0, Fraction(2, 5), 1), 1e-6),
+    "numpy-float64-etas": (tuple(np.float64(eta) for eta in (0.2, 0.45, 0.6, 0.85)), 3e-5),
+    "int-1-first-float-y0": ((1, 0.4, 0.7, Fraction(1, 2)), 1e-3),
+    "int-0-first-float-y0": ((0, 0.4, 0.7, 0.9), 1e-3),
+    "all-lost": ((0.0, 0.0, 0.0, 0.0), 1e-3),  # only case 0 has weight
+    "none-lost": ((1.0, 1.0, 1.0, 1.0), 1e-3),  # only case 4
+    "two-or-three-survive": ((1, 0.5, 0.0, 1), 1e-5),
+}
+
+
+@pytest.mark.parametrize("etas, y0", _MIXED_CHANNELS.values(), ids=_MIXED_CHANNELS.keys())
+def test_mixed_type_channels_equal_the_walk_bit_for_bit(table, etas, y0):
+    for mode in ("paper", "physical"):
+        for announcers in ((0, 1), (3, 1)):  # the plan of (1, 3), reached in reverse
+            cfg = TrialConfig(etas=etas, y0=y0, mode=mode, announcers=announcers)
+            res = exact_enumerate(cfg)
+            assert _same_bits(res, _walk_enumerate(cfg, table)), cfg
+            reached = {bin(surv).count("1") for surv in range(16) if all(
+                etas[p] != (0 if (surv >> (3 - p)) & 1 else 1) for p in range(4))}
+            # a case no weight reaches keeps its Fraction(0)
+            assert all((type(g) is Fraction) is (k not in reached) for k, g in enumerate(res.gain_cases)), cfg
+
+
+def test_the_plan_is_built_once_per_announcer_pair(monkeypatch):
+    pairs = list(combinations(range(4), 2))
+    for r in pairs:
+        for announcers in (r, r[::-1]):
+            exact_enumerate(TrialConfig(announcers=announcers))
+    assert protocol._plan.cache_info().currsize == 6  # a pair and its reverse share one plan
+    calls = []
+    monkeypatch.setattr(protocol, "_sift", lambda *args: calls.append("_sift"))
+    monkeypatch.setattr(protocol, "_click_terms", lambda *args: calls.append("_click_terms"))
+    for announcers, mode, y0 in product(pairs, ("paper", "physical"), (6.02e-6, Fraction(1, 1000))):
+        exact_enumerate(TrialConfig(etas=(0.3, 0.5, 0.7, 0.9), y0=y0, mode=mode, announcers=announcers))
+    assert calls == []
+    assert protocol._plan.cache_info().currsize == 6
