@@ -12,7 +12,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import derive_detection_table, reference_table, render_pattern
@@ -284,10 +283,9 @@ def cmd_enumerate(opts: dict) -> int:
     constants = AnalyzerConstants.from_table(derive_detection_table())
     eta, y0 = opts["eta"], opts["y0"]
     mode = opts["mode"]
-    cfg = TrialConfig(etas=(eta,) * 4, y0=y0, mode=mode)
-    paper = exact_enumerate(replace(cfg, mode="paper"))
-    physical = exact_enumerate(replace(cfg, mode="physical"))
-    result = paper if cfg.mode == "paper" else physical
+    paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"))
+    physical = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"))
+    result = paper if mode == "paper" else physical
     q1c = q1_identical(eta, NoiseParams(y0), constants)
     e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else None
     lines = [f"# wqkd enumerate mode={mode} eta={eta} y0={y0}"]

@@ -19,6 +19,8 @@ outcome whose slot mask lies outside every detection pattern is never
 announced, since dark counts only add clicks.  The tables come from one
 cached kernel batch over the survivors' product monomials, with the dead
 rows dropped before any merge, evaluated a few configurations per pass.
+The exact Z table is built once, the X table once per delay; the enumerator
+walks the Z table once per announcer pair, the sampler merges once per sift.
 
 The Monte-Carlo sampler realizes the same model with counter-based randomness:
 fixed-size chunks, each drawing from a Philox stream keyed by (seed, chunk
@@ -57,6 +59,7 @@ from .keyrate import left_sum
 
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
+_MAX_TRIALS = 10**10  # under a minute warm at the default channel: 180-250 M trials/s on a 2-core host
 
 _LABEL_TO_IDX = {label: i for i, label in enumerate(DISTINGUISHABLE_LABELS)}
 _SLOT_OFFSET = {spatial: 4 * i for i, spatial in enumerate(OUTPUT_MODES)}  # 4 time bins per output mode
@@ -103,8 +106,8 @@ class TrialConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
-        if self.trials < 1:
-            raise ValueError("at least one trial is required")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -227,18 +230,6 @@ def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[li
             yield part, _row_outcomes(slots, src, codes, ks, nums, h, delta)
 
 
-def _outcomes(
-    survivors: tuple[tuple[int, int], ...], delta: float | None
-) -> tuple[tuple[Monomial, Fraction | float, int, bool], ...]:
-    """Monomial, probability, slot mask and bunching flag of every output of
-    one configuration: Z basis for ``delta=None``, X at delta otherwise."""
-    slots, rows = _product_rows()
-    ((_, (_, codes, prob, mask, free)),) = _passes(rows, [survivors], delta)
-    modes = np.fromiter(slots, object, len(slots))
-    mons = zip(*(modes[col] for col in codes.T)) if codes.shape[1] else [()] * len(codes)
-    return tuple(zip(mons, prob.tolist(), mask.tolist(), free.tolist()))
-
-
 def _row_outcomes(
     slots: list[Mode],
     src: np.ndarray,
@@ -329,13 +320,14 @@ def _row_outcomes(
     return src[first], heads, prob, mask, mult == 1
 
 
-def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The live outputs of all 81 survivor configurations: Z basis for
     ``delta=None``, X at delta otherwise.
 
     Returns the span of each configuration's outputs and the probability,
-    slot mask and bunching-free flag of each output, in the order
-    ``_outcomes`` lists them.
+    slot mask and bunching-free flag of each output, in the order of the
+    configuration's full listing, then the probabilities as floats, which
+    the sampler reads.
     """
     span, prob, mask, free = {}, [], [], []
     size = 0
@@ -345,11 +337,17 @@ def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, n
             size += n
         for column, values in zip((prob, mask, free), columns):
             column.append(values)
-    return span, *(np.concatenate(column) for column in (prob, mask, free))
+    prob, mask, free = (np.concatenate(column) for column in (prob, mask, free))
+    return span, prob, mask, free, prob.astype(float)
 
 
 # the analyzer is fixed: the Z table holds the 81 survivor configurations once, exact
 _z_outcomes = functools.cache(functools.partial(_live_outcomes, None))
+
+
+@functools.lru_cache(maxsize=1)  # the X table of the last delay a run used: a sweep builds each once
+def _x_outcomes(delta: float) -> tuple:
+    return _live_outcomes(delta)
 
 
 def _party_bit(bits: int, party: int) -> int:
@@ -366,7 +364,7 @@ _SURVIVORS = [
 _CONFIGS = sorted(set(_SURVIVORS), key=lambda c: (len(c), c))
 
 
-def _sift(bits: int, cfg: TrialConfig) -> tuple[tuple[int, ...], bool]:
+def _sift(bits: int, basis: str, announcers: tuple[int, int]) -> tuple[tuple[int, ...], bool]:
     """The labels that accept input ``bits`` and whether an accepted trial errs.
 
     Z basis: announced "00" accepts W4,0/W4,1 and "11" accepts W4,c/W4,d.
@@ -374,14 +372,13 @@ def _sift(bits: int, cfg: TrialConfig) -> tuple[tuple[int, ...], bool]:
     holders keep their bits with the second one flipped, so an error means
     their raw bits are equal.
     """
-    ra, rb = cfg.announcers
-    a, b = _party_bit(bits, ra), _party_bit(bits, rb)
-    if cfg.basis == "x":
+    a, b = (_party_bit(bits, r) for r in announcers)
+    if basis == "x":
         labels = DISTINGUISHABLE_LABELS if a != b else ()
     else:
         labels = ((12, 13) if a else (0, 1)) if a == b else ()
-    ha, hb = cfg.key_holders
-    return labels, _party_bit(bits, ha) == _party_bit(bits, hb)
+    ha, hb = (_party_bit(bits, party) for party in range(4) if party not in announcers)
+    return labels, ha == hb
 
 
 @dataclass(frozen=True)
@@ -392,44 +389,23 @@ class EnumerationResult:
     error_cases: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class _ClickTerms:
-    """Photon click terms of one survivor configuration over one label group.
+def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[Fraction, tuple[Fraction, ...], tuple]:
+    """Walk labels, then their patterns in table order, then photon outcomes.
 
     A term is a (label, pattern, photon outcome) whose outcome slot mask lies
     inside the pattern; its missing count m is the number of pattern slots
-    that dark counts must fill.
-    """
-
-    k: int  # surviving photons
-    paper: Fraction  # summed probability of the terms with one photon per slot
-    coeffs: tuple[Fraction, ...]  # coeffs[m]: summed probability of the terms missing m
-
-    def click(self, mode: str, powers: list) -> Fraction:
-        """Exact sum of probability * y0**m over the terms, given powers[m] = y0**m."""
-        if mode == "paper":  # photons land one per slot on a subset of the pattern
-            return self.paper * powers[4 - self.k]
-        # threshold semantics: any photon outcome inside the pattern counts;
-        # darks complete the unclicked pattern slots
-        click = Fraction(0)
-        for c, power in zip(self.coeffs, powers):
-            click += c * power
-        return click
-
-
-def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[_ClickTerms, tuple]:
-    """Walk labels, then their patterns in table order, then photon outcomes.
-
-    Returns the exact sums and the walk: the float probability and the
-    missing count m of each term, in walk order.
+    that dark counts must fill.  Returns the summed probability of the terms
+    with one photon per slot, coeffs[m], the summed probability of the terms
+    missing m, and the walk: the float probability and m of each term, in
+    walk order.
     """
     patterns = derive_detection_table().patterns
-    span, probs, masks, frees = _z_outcomes()
+    span, probs, masks, frees, floats = _z_outcomes()
     own = span[survivors]  # its live outcomes: no other one lies inside a pattern
     unit = math.lcm(*(p.denominator for p in probs[own]))  # exact sums in integers
     rows = [
-        (mmask, 4 - bin(mmask).count("1"), free, p.numerator * (unit // p.denominator), float(p))
-        for p, mmask, free in zip(probs[own].tolist(), masks[own].tolist(), frees[own].tolist())
+        (mmask, 4 - bin(mmask).count("1"), free, p.numerator * (unit // p.denominator), f)
+        for p, mmask, free, f in zip(*(column[own].tolist() for column in (probs, masks, frees, floats)))
     ]
     paper = 0
     coeffs = [0] * 5
@@ -445,8 +421,7 @@ def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[_ClickTerms
                 coeffs[m] += units
                 probs.append(p)
                 missing.append(m)
-    exact = _ClickTerms(len(survivors), Fraction(paper, unit), tuple(Fraction(c, unit) for c in coeffs))
-    return exact, (tuple(probs), tuple(missing))
+    return Fraction(paper, unit), tuple(Fraction(c, unit) for c in coeffs), (tuple(probs), tuple(missing))
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,16 +431,25 @@ class _Plan:
     ``entries`` lists each (input bits, survival subset) the announcers
     accept, in the enumeration's loop order, as (survival subset, key,
     surviving photons, error flag); a key indexes the distinct (survivors,
-    labels) click terms.  The float click sums of all keys come from one
-    column pass over ``probs`` and ``missing``.
+    labels) click terms (``_click_terms``).  The float click sums of all
+    keys come from one column pass over ``probs`` and ``missing``.
     """
 
     entries: tuple[tuple[int, int, int, bool], ...]
-    terms: tuple[_ClickTerms, ...]  # per key
-    paper: tuple[tuple[float, int], ...]  # per key: float(terms.paper), 4 - k
+    exact: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # per key: the paper sum and coeffs
+    paper: tuple[tuple[float, int], ...]  # per key: float(paper sum), 4 - k
     column: np.ndarray  # per key: its walk's column; many keys walk alike
     probs: np.ndarray  # column per distinct walk: its terms' float probabilities in order, zero-padded
     missing: np.ndarray  # m of each term, zero-padded
+
+    def click(self, key: int, mode: str, powers: list) -> Fraction:
+        """A key's exact sum of probability * y0**m over its terms, given powers[m] = y0**m."""
+        paper, coeffs = self.exact[key]
+        if mode == "paper":  # photons land one per slot on a subset of the pattern
+            return paper * powers[self.paper[key][1]]
+        # threshold semantics: any photon outcome inside the pattern counts;
+        # darks complete the unclicked pattern slots
+        return left_sum(c * power for c, power in zip(coeffs, powers))
 
     def float_clicks(self, mode: str, powers: list) -> list[float]:
         """Each key's click sum at a float y0, given powers[m] = y0**m, with
@@ -481,18 +465,17 @@ class _Plan:
 @functools.cache  # the Z sift is symmetric in the announcers: at most 6 sorted pairs
 def _plan(announcers: tuple[int, int]) -> _Plan:
     """The sift and the click terms of one announcer pair, walked once."""
-    sift = TrialConfig(announcers=announcers)
     keys: dict[tuple, int] = {}
     entries = []
     for bits in range(16):
-        labels, is_error = _sift(bits, sift)
+        labels, is_error = _sift(bits, "z", announcers)
         if not labels:
             continue
         for surv in range(16):
             survivors = _SURVIVORS[bits * 16 + surv]
             key = keys.setdefault((survivors, labels), len(keys))
             entries.append((surv, key, len(survivors), is_error))
-    terms, key_walks = zip(*(_click_terms(*key) for key in keys))
+    papers, coeffs, key_walks = zip(*(_click_terms(*key) for key in keys))
     walks: dict[tuple, int] = {}  # 28 or 29 distinct walks for the 72 keys of a pair
     column = [walks.setdefault(walk, len(walks)) for walk in key_walks]
     probs = np.zeros((max(len(p) for p, _ in walks), len(walks)))
@@ -500,8 +483,8 @@ def _plan(announcers: tuple[int, int]) -> _Plan:
     for j, (p, m) in enumerate(walks):
         probs[: len(p), j] = p
         missing[: len(m), j] = m
-    paper = tuple((float(t.paper), 4 - t.k) for t in terms)
-    return _Plan(tuple(entries), terms, paper, np.array(column), probs, missing)
+    paper = tuple((float(p), 4 - len(survivors)) for p, (survivors, _) in zip(papers, keys))
+    return _Plan(tuple(entries), tuple(zip(papers, coeffs)), paper, np.array(column), probs, missing)
 
 
 def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
@@ -527,7 +510,7 @@ def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
     y0 = cfg.y0
     powers = [y0**m for m in range(5)]
     # exact: a key's click is summed when a weight first needs it
-    clicks = [None] * len(plan.terms) if isinstance(y0, (int, Fraction)) else plan.float_clicks(cfg.mode, powers)
+    clicks = [None] * len(plan.exact) if isinstance(y0, (int, Fraction)) else plan.float_clicks(cfg.mode, powers)
     no_dark_rest = (1 - y0) ** 12
     # Fraction(1, 16) * float is 0.0625 * float: the same bits, no Fraction dispatch
     first = 1 / 16 if isinstance(cfg.etas[0], float) else Fraction(1, 16)
@@ -546,7 +529,7 @@ def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
             continue
         click = clicks[key]
         if click is None:
-            click = clicks[key] = plan.terms[key].click(cfg.mode, powers)
+            click = clicks[key] = plan.click(key, cfg.mode, powers)
         contrib = weight * click * no_dark_rest
         gain[k] += contrib
         if is_error:
@@ -600,46 +583,6 @@ class Tally:
         return None if self.accepted == 0 else self.errors / self.accepted
 
 
-@dataclass(frozen=True)
-class _LiveRows:
-    """Live photon outcomes of the 256 input classes (bits * 16 + survival subset).
-
-    An outcome is live when its slot mask lies inside some detection pattern.
-    Dark counts only add clicks, so no other outcome can ever be announced.
-    Each class holds its survivor configuration's span of the live table
-    (``_live_outcomes``), with float probabilities.
-    ``merged(basis, mode, announcers)`` is the sampler's entry merge of these
-    rows for one sift, cached.
-    """
-
-    label_bit: np.ndarray  # click mask -> 1 << index of its label, 0 if no pattern
-    cls: np.ndarray
-    prob: np.ndarray  # outcome probability given the class
-    mask: np.ndarray
-    free: np.ndarray  # no slot holds two photons
-
-    def __post_init__(self):
-        # the merge depends on the rows and the sift only, so warm calls reuse it
-        merged = functools.lru_cache(maxsize=4)(functools.partial(_entry_merge, self))
-        object.__setattr__(self, "merged", merged)
-
-
-@functools.lru_cache(maxsize=2)  # the Z rows and one X delay
-def _live_rows(delta: float | None) -> _LiveRows:
-    """Live rows: Z basis for ``delta=None``, else X at that delay."""
-    # the Z table is cached; an X delay's table is built once, here
-    span, prob, mask, free = _z_outcomes() if delta is None else _live_outcomes(delta)
-    spans = [span[survivors] for survivors in _SURVIVORS]
-    take = np.concatenate([np.arange(s.start, s.stop) for s in spans])
-    return _LiveRows(
-        _click_lookup()[0],
-        np.repeat(np.arange(256), [s.stop - s.start for s in spans]),
-        prob[take].astype(float),
-        mask[take].astype(np.uint32),
-        free[take],
-    )
-
-
 _PHOTONS = np.array([bin(surv).count("1") for surv in range(16)], dtype=np.int64)
 
 
@@ -665,37 +608,48 @@ class _Entries:
     no_dark: np.ndarray
 
 
-def _entry_merge(rows: _LiveRows, basis: str, mode: str, announcers: tuple[int, int]) -> tuple:
+@functools.lru_cache(maxsize=4)  # the merge depends on the table and the sift only, so warm calls reuse it
+def _entry_merge(delta: float | None, basis: str, mode: str, announcers: tuple[int, int]) -> tuple:
     """The entries of one sift, before weights: the survival subset and the
     probability of each row the mode keeps, the entry it joins, and the
-    entries' other fields."""
-    sift = TrialConfig(mode=mode, basis=basis, announcers=announcers)
+    entries' other fields.
+
+    The rows are the live table's (Z for ``delta=None``, else X at delta),
+    laid out per input class (bits * 16 + survival subset): each class holds
+    its survivor configuration's span.
+    """
+    span, _, mask, free, prob = _z_outcomes() if delta is None else _x_outcomes(delta)
+    spans = [span[survivors] for survivors in _SURVIVORS]
+    take = np.concatenate([np.arange(s.start, s.stop) for s in spans])
+    cls = np.repeat(np.arange(256), [s.stop - s.start for s in spans])
+    if mode == "paper":  # bunched outcomes join the dead bucket
+        cls, take = cls[free[take]], take[free[take]]
     accepts = np.zeros(16, dtype=np.int64)
     error = np.zeros(16, dtype=np.int64)
     for bits in range(16):
-        labels, error[bits] = _sift(bits, sift)
+        labels, error[bits] = _sift(bits, basis, announcers)
         accepts[bits] = sum(1 << _LABEL_TO_IDX[label] for label in labels)
-    # bunched outcomes join the dead bucket in paper accounting
-    kept = rows.free if mode == "paper" else slice(None)
-    bits, surv = np.divmod(rows.cls[kept], 16)
-    kind = (rows.mask[kept].astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | _PHOTONS[surv]
+    bits, surv = np.divmod(cls, 16)
+    kind = (mask[take] << 8) | (accepts[bits] << 4) | (error[bits] << 3) | _PHOTONS[surv]
     # merging shortens the multinomial draw: 9420 live Z rows make 1674 entries
     kind, inverse = np.unique(kind, return_inverse=True)
     mask = (kind >> 8).astype(np.uint32)
     accepts, error, photons = (kind >> 4) & 15, ((kind >> 3) & 1).astype(bool), kind & 7
     hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))  # every label_bit value
     cell = np.where((accepts[:, None] & hits) != 0, (2 + photons + 5 * error)[:, None], hits != 0).astype(np.int8)
-    no_dark = cell[np.arange(kind.size), rows.label_bit[mask]]
+    no_dark = cell[np.arange(kind.size), _click_lookup()[0][mask]]
     # kept as long as the rows are, so the small-valued columns are stored compactly
-    return surv.astype(np.uint8), rows.prob[kept], inverse, (mask, accepts, error, photons, cell, no_dark)
+    return surv.astype(np.uint8), prob[take], inverse, (mask, accepts, error, photons, cell, no_dark)
 
 
-def _entries(cfg: TrialConfig, rows: _LiveRows) -> _Entries:
+def _entries(cfg: TrialConfig) -> _Entries:
     subsets = np.arange(16)
     weight = np.full(16, 1 / 16)
     for party, eta in enumerate(cfg.etas):
         weight *= np.where(_party_bit(subsets, party), float(eta), 1 - float(eta))
-    surv, prob, inverse, fields = rows.merged(cfg.basis, cfg.mode, cfg.announcers)
+    # a Z configuration carries delta 0.0, so the Z table must not key on it
+    delta = cfg.delta if cfg.basis == "x" else None
+    surv, prob, inverse, fields = _entry_merge(delta, cfg.basis, cfg.mode, cfg.announcers)
     # a row of weight 0.0 adds +0.0, which leaves every float sum as it was
     prob = np.bincount(inverse, weights=weight[surv] * prob, minlength=fields[0].size)
     live = prob != 0  # a zero weight (eta 0 or 1) can empty whole entries
@@ -712,9 +666,8 @@ def run_trials(cfg: TrialConfig) -> Tally:
     chunk's live trials are its entry counts in entry order, and only the
     trials that a dark click hits are resolved one by one.
     """
-    # a Z configuration carries delta 0.0, so the Z rows must not key on it
-    rows = _live_rows(cfg.delta if cfg.basis == "x" else None)
-    ent = _entries(cfg, rows)
+    label_bit = _click_lookup()[0]
+    ent = _entries(cfg)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
     cell, hits = ent.cell.ravel(), ent.cell.shape[1]  # one flat index beats two on the darks' path
     y0 = float(cfg.y0)
@@ -739,7 +692,7 @@ def run_trials(cfg: TrialConfig) -> Tally:
         entry = np.repeat(np.arange(live.size), np.diff(bounds))[first]
         dark = np.bitwise_or.reduceat(np.left_shift(1, slot), first)
         # a dark-hit trial leaves its entry's no-dark cell for the cell of its clicks
-        cells += np.bincount(cell[entry * hits + rows.label_bit[ent.mask[entry] | dark]], minlength=12)
+        cells += np.bincount(cell[entry * hits + label_bit[ent.mask[entry] | dark]], minlength=12)
         cells -= np.bincount(ent.no_dark[entry], minlength=12)
     np.add.at(cells, ent.no_dark, counts)
     case_acc = cells[2:7] + cells[7:]

@@ -1,5 +1,4 @@
 import functools
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -76,10 +75,22 @@ def w_state_chains():
     return chains
 
 
+def _outcomes(survivors, delta):
+    """Monomial, probability, slot mask and bunching flag of every output of
+    one configuration, dead outputs included, from a one-configuration pass
+    of the package over the unfiltered product rows: Z basis for
+    ``delta=None``, X at delta otherwise."""
+    slots, rows = protocol._product_rows()
+    ((_, (_, codes, prob, mask, free)),) = protocol._passes(rows, [survivors], delta)
+    modes = np.fromiter(slots, object, len(slots))
+    mons = zip(*(modes[col] for col in codes.T)) if codes.shape[1] else [()] * len(codes)
+    return tuple(zip(mons, prob.tolist(), mask.tolist(), free.tolist()))
+
+
 def _survivor_state(survivors, basis):
     """The survivors' propagated state in Amplitude arithmetic, one
     configuration at a time: one Amplitude per output, the oracle of the rows
-    ``protocol._outcomes`` evaluates.
+    ``_outcomes`` evaluates.
 
     A photon of party p with bit b enters as sum_t w_t a†[p, t]: w = {b: 1} in
     the Z basis, {0: 1/sqrt2, 1: +-1/sqrt2} in X.  The analyzer is linear, so
@@ -105,8 +116,8 @@ def _survivor_state(survivors, basis):
 @functools.cache  # at most 81 configurations, shared by the tests that read them
 def _reference_z_outcomes(survivors):
     """The Z outcome oracle in Amplitude arithmetic: one Amplitude per output,
-    its exact ``abs2() * multiplicity``, which ``protocol._outcomes(survivors,
-    None)`` must equal in value and type."""
+    its exact ``abs2() * multiplicity``, which ``_outcomes(survivors, None)``
+    must equal in value and type."""
     return tuple(
         (mon, amp.abs2() * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
         for mon, amp in _survivor_state(survivors, "z").terms()
@@ -152,8 +163,8 @@ def _x_survivor_state(survivors):
 
 def _reference_x_outcomes(survivors, delta):
     """The X outcome oracle in Amplitude arithmetic: one Amplitude per output,
-    evaluated by ``abs2(delta)``, which ``protocol._outcomes`` must equal bit
-    for bit."""
+    evaluated by ``abs2(delta)``, which ``_outcomes`` must equal bit for
+    bit."""
     state = _x_survivor_state(survivors)
     return tuple(
         (mon, amp.abs2(delta) * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
@@ -185,37 +196,44 @@ def _live_masks():
     return label_bit, live
 
 
-def _reference_live_rows(outcomes_of):
-    """The live-row oracle: each survivor configuration's listing
-    ``outcomes_of(survivors)`` with its dead outcomes dropped, laid out per
-    input class, which ``protocol._live_rows`` must equal array for array."""
-    label_bit, live = _live_masks()
-    outcomes = []
-    spans = {}  # survivor configuration -> its rows of outcomes
-    of_class = []
-    for cid in range(256):
-        survivors = protocol._SURVIVORS[cid]
-        span = spans.get(survivors)
-        if span is None:
-            new = [(float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
-            span = spans[survivors] = range(len(outcomes), len(outcomes) + len(new))
-            outcomes += new
-        of_class.append(span)
-    take = np.fromiter(chain.from_iterable(of_class), dtype=np.intp)
-    prob, mask, free = (np.array(column)[take] for column in zip(*outcomes))
-    cls = np.repeat(np.arange(256), [len(span) for span in of_class])
-    return protocol._LiveRows(label_bit, cls, prob, mask.astype(np.uint32), free)
+def _reference_live_table(outcomes_of, delta):
+    """The live-table oracle: each survivor configuration's listing
+    ``outcomes_of(survivors)`` with its dead outcomes dropped one by one, in
+    the package's configuration order, which ``protocol._live_outcomes(delta)``
+    must equal in span, dtype, type and value.  The Z probabilities stay
+    exact; at a delay they are floats."""
+    live = _live_masks()[1]
+    span, outcomes = {}, []
+    for survivors in protocol._CONFIGS:
+        own = [(p if delta is None else float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
+        span[survivors] = slice(len(outcomes), len(outcomes) + len(own))
+        outcomes += own
+    prob, mask, free = (np.array(column) for column in zip(*outcomes))
+    return span, prob, mask, free, np.array([float(p) for p in prob.tolist()])
 
 
 @pytest.fixture(scope="session")
-def reference_live_rows():
-    return _reference_live_rows
+def reference_live_table():
+    return _reference_live_table
 
 
-def _reference_entries(cfg, rows):
+@functools.cache  # a table never changes, so each layout is built once
+def _class_rows(basis, delta):
+    """The live table of a basis and delay laid out one input class
+    (bits * 16 + survival subset) at a time: each class's row numbers, then
+    the class, float probability, slot mask and bunching flag of each row."""
+    span, prob, mask, free, _ = protocol._z_outcomes() if basis == "z" else protocol._x_outcomes(delta)
+    rows = [(cid, i) for cid, c in enumerate(protocol._SURVIVORS) for i in range(span[c].start, span[c].stop)]
+    cls, take = np.array(rows).T
+    return cls, np.array([float(p) for p in prob[take].tolist()]), mask[take], free[take]
+
+
+def _reference_entries(cfg):
     """The entry oracle: the sampler's entries merged afresh on every call,
-    with their tally cells, which ``protocol._entries`` must equal field for
-    field from its cached merge."""
+    from the live table laid out per input class, with their tally cells,
+    which ``protocol._entries`` must equal field for field from its cached
+    merge."""
+    label_bit = _live_masks()[0]
     subsets = np.arange(16)
     weight = np.full(16, 1 / 16)
     for party, eta in enumerate(cfg.etas):
@@ -223,13 +241,14 @@ def _reference_entries(cfg, rows):
     accepts = np.zeros(16, dtype=np.int64)
     error = np.zeros(16, dtype=np.int64)
     for bits in range(16):
-        labels, error[bits] = protocol._sift(bits, cfg)
+        labels, error[bits] = protocol._sift(bits, cfg.basis, cfg.announcers)
         accepts[bits] = sum(1 << protocol._LABEL_TO_IDX[label] for label in labels)
-    bits, surv = np.divmod(rows.cls, 16)
-    prob = weight[surv] * rows.prob
+    cls, prob, mask, free = _class_rows(cfg.basis, cfg.delta)
+    bits, surv = np.divmod(cls, 16)
+    prob = weight[surv] * prob
     if cfg.mode == "paper":
-        prob[~rows.free] = 0.0  # bunched outcomes join the dead bucket
-    kind = (rows.mask.astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | protocol._PHOTONS[surv]
+        prob[~free] = 0.0  # bunched outcomes join the dead bucket
+    kind = (mask.astype(np.int64) << 8) | (accepts[bits] << 4) | (error[bits] << 3) | protocol._PHOTONS[surv]
     keep = prob > 0
     kind, inverse = np.unique(kind[keep], return_inverse=True)
     prob = np.bincount(inverse, weights=prob[keep])
@@ -238,7 +257,7 @@ def _reference_entries(cfg, rows):
     hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))
     accepted = (accepts[:, None] & hits) != 0
     cell = np.where(accepted, (2 + photons + 5 * error)[:, None], hits != 0).ravel()
-    no_dark = cell[np.arange(prob.size) * hits.size + rows.label_bit[mask]]
+    no_dark = cell[np.arange(prob.size) * hits.size + label_bit[mask]]
     return protocol._Entries(prob, mask, accepts, error, photons, cell.reshape(-1, hits.size), no_dark)
 
 
@@ -251,8 +270,8 @@ def _reference_run_trials(cfg):
     """The sampler oracle: the chunk loop that expands each chunk's entry
     counts into one element per trial and ORs the darks into their click
     masks, which ``protocol.run_trials`` must equal tally for tally."""
-    rows = protocol._live_rows(cfg.delta if cfg.basis == "x" else None)
-    ent = protocol._entries(cfg, rows)
+    label_bit = _live_masks()[0]
+    ent = protocol._entries(cfg)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
     index = np.arange(ent.prob.size, dtype=np.intp)
     y0 = float(cfg.y0)
@@ -270,7 +289,7 @@ def _reference_run_trials(cfg):
             pos = gen.choice(N_SLOTS * n, darks, replace=False, shuffle=False)
             pos = pos[pos < N_SLOTS * entry.size]  # live trials come first
             np.bitwise_or.at(click, pos // N_SLOTS, np.left_shift(1, pos % N_SLOTS).astype(np.uint32))
-        hit = rows.label_bit[click]
+        hit = label_bit[click]
         announced = np.flatnonzero(hit)
         announced_n += announced.size
         announced_entry = entry[announced]

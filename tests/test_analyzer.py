@@ -23,7 +23,7 @@ from wqkd.analyzer import (
 from wqkd.fock import FockState, Mode
 from wqkd.qubits import bell_state, encode_fock, w_state
 
-from conftest import _survivor_state
+from conftest import _outcomes, _survivor_state
 
 
 def test_interferometer_map_matches_reference_form():
@@ -84,11 +84,11 @@ def test_composed_propagation_equals_staged_oracle(x_superposition_outcomes, w_s
             (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, _ in state.terms()
         )
-        assert protocol._outcomes(c, None) == listing, c
+        assert _outcomes(c, None) == listing, c
     x_configs = (((1, 1),), ((0, 1), (1, 0)), ((0, 0), (1, 0), (2, 0)))
     delta = math.pi / 8
     staged_x = [x_superposition_outcomes(c, delta, lambda s: _staged_propagate(net, s)) for c in x_configs]
-    assert [protocol._outcomes(c, delta) for c in x_configs] == staged_x
+    assert [_outcomes(c, delta) for c in x_configs] == staged_x
 
 
 def test_default_table_is_memoized_until_a_fresh_derivation():

@@ -165,6 +165,16 @@ def test_simulate_x_delay_whose_phase_overflows_exits_1(capsys, delta, power):
     )
 
 
+@pytest.mark.parametrize("trials", ["10000000001", "1000000000000000000000"])
+def test_simulate_above_the_trial_cap_exits_1_without_a_trial(capsys, monkeypatch, trials):
+    # 10**10 trials is under a minute warm at the default channel; a larger count never starts
+    monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
+    for basis in ("z", "x"):
+        code, out, err = run(capsys, "simulate", "--basis", basis, "--trials", trials)
+        assert (code, out) == (1, "")
+        assert err == f"error: trials must lie in [1, 10000000000], got {trials}\n"
+
+
 def test_simulate_x_delay_of_1e300_runs(capsys):
     code, out, err = run(capsys, "simulate", "--basis", "x", "--delta", "1e300", "--trials", "1000")
     assert (code, err) == (0, "")

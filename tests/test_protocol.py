@@ -34,7 +34,14 @@ from wqkd.protocol import (
     wilson_interval,
 )
 
-from conftest import _live_masks, _reference_x_outcomes, _reference_z_outcomes, _survivor_state, _x_survivor_state
+from conftest import (
+    _live_masks,
+    _outcomes,
+    _reference_x_outcomes,
+    _reference_z_outcomes,
+    _survivor_state,
+    _x_survivor_state,
+)
 
 
 @pytest.mark.parametrize(
@@ -59,8 +66,7 @@ from conftest import _live_masks, _reference_x_outcomes, _reference_z_outcomes, 
     ],
 )
 def test_sift(bits, announcers, basis, labels, error):
-    cfg = TrialConfig(basis=basis, announcers=announcers)
-    assert protocol._sift(int(bits, 2), cfg) == (labels, error)
+    assert protocol._sift(int(bits, 2), basis, announcers) == (labels, error)
 
 
 def test_config_validation():
@@ -68,8 +74,9 @@ def test_config_validation():
         TrialConfig(mode="loose")
     with pytest.raises(ValueError):
         TrialConfig(basis="y")
-    with pytest.raises(ValueError):
-        TrialConfig(trials=0)
+    for trials in (0, protocol._MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 10000000000\]"):
+            TrialConfig(trials=trials)
     with pytest.raises(ValueError):
         TrialConfig(announcers=(1, 1))
     for etas in ((0.5, 0.5, 0.5, 1.5), (-0.1, 0.5, 0.5, 0.5), (Fraction(3, 2),) * 4, (math.nan,) * 4):
@@ -92,7 +99,7 @@ def test_config_validation():
             TrialConfig(announcers=announcers)
     # boundary values and exact fractions stay valid
     TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0), seed=0)
-    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3))
+    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3), trials=protocol._MAX_TRIALS)
 
 
 def test_enumerator_dark_only_case():
@@ -171,7 +178,7 @@ def test_enumerator_total_mass():
     # the click distribution of every survivor configuration is normalized,
     # dead outcomes included, so weights alone must sum to one over inputs
     # and survival subsets
-    from wqkd.protocol import _outcomes, _party_bit
+    from wqkd.protocol import _party_bit
 
     eta = Fraction(1, 3)
     total = Fraction(0)
@@ -281,7 +288,7 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
     # accepted pattern P containing its photon mask when darks fill P's other
     # slots and none of the 12 slots outside P fires
     cfg = TrialConfig(etas=etas, y0=y0, mode=mode)
-    ent = protocol._entries(cfg, protocol._live_rows(None))
+    ent = protocol._entries(cfg)
     photons_in = np.array([int(m).bit_count() for m in ent.mask])
     gain = err = 0.0
     for label, pats in table.patterns.items():
@@ -299,26 +306,26 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
 
 
 def test_cached_entries_equal_a_fresh_merge(reference_entries):
-    # the merge is cached per rows and sift, the weights are not: every sift of
-    # both bases, with etas of 0 and 1 that empty whole entries
+    # the merge is cached per table and sift, the weights are not: every sift
+    # of both bases, with etas of 0 and 1 that empty whole entries
     rng = random.Random(14)
     emptied = 0
     for basis, mode, announcers in product("zx", ("paper", "physical"), permutations(range(4), 2)):
-        rows = protocol._live_rows(0.0 if basis == "x" else None)  # delta 0 shares the X rows
+        sift = (0.0 if basis == "x" else None, basis, mode, announcers)  # delta 0 shares the X table
         for _ in range(4):
             etas = tuple(rng.choice((0, 0.0145, 0.5, 1)) for _ in range(4))
             cfg = TrialConfig(etas, mode=mode, basis=basis, announcers=announcers)
-            want = reference_entries(cfg, rows)
-            got = protocol._entries(cfg, rows)
+            want = reference_entries(cfg)
+            got = protocol._entries(cfg)
             for field in dataclasses.fields(want):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 # the cached tally cells are int8; every other field keeps its dtype
                 assert field.name in ("cell", "no_dark") or a.dtype == b.dtype, (cfg, field.name)
                 assert np.array_equal(a, b), (cfg, field.name)
-            emptied += got.prob.size < rows.merged(basis, mode, announcers)[3][0].size
-            before = rows.merged.cache_info()
-            protocol._entries(cfg, rows)
-            after = rows.merged.cache_info()
+            emptied += got.prob.size < protocol._entry_merge(*sift)[3][0].size
+            before = protocol._entry_merge.cache_info()
+            protocol._entries(cfg)
+            after = protocol._entry_merge.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses), cfg
     assert emptied > 0
 
@@ -349,7 +356,7 @@ def test_mc_boundary_transmittances(eta, y0):
 
 def test_sampler_equals_per_trial_reference_on_grid(reference_run_trials):
     # 65537 trials end in a one-trial chunk; y0 0.2 hits most live trials
-    # with several darks; delta 0 shares the X rows with the other X tests
+    # with several darks; delta 0 shares the X table with the other X tests
     grid = product(
         "zx", ("paper", "physical"), (0, 6.02e-6, 1e-2, 0.2), (0, 0.0145, 0.5, 1), (1, 65537), ((0, 1), (2, 3))
     )
@@ -376,44 +383,63 @@ def test_sampler_equals_per_trial_reference(
 
 
 @pytest.fixture
-def cleared_rows():
-    protocol._live_rows.cache_clear()
+def cleared_caches():
+    protocol._x_outcomes.cache_clear()
+    protocol._entry_merge.cache_clear()
     yield
-    protocol._live_rows.cache_clear()  # no test leaves its rows to the next
+    # stand-in tables must not reach the next test
+    protocol._x_outcomes.cache_clear()
+    protocol._entry_merge.cache_clear()
 
 
-def test_x_caches_hold_one_delay(monkeypatch, cleared_rows):
+def test_x_caches_hold_one_delay(monkeypatch, cleared_caches):
     # an X table stands in for itself with the cached Z one
     monkeypatch.setattr(protocol, "_live_outcomes", lambda delta: protocol._z_outcomes())
-    z_rows = protocol._live_rows(None)
+    sift = ("x", "physical", (0, 1))
+    z_merge = protocol._entry_merge(None, "z", "physical", (0, 1))
     for delta in (0.1, 0.2, 0.3):
-        protocol._live_rows(delta)  # a sweep: the oldest rows go first
-    assert protocol._live_rows.cache_info()[1:] == (4, 2, 2)  # misses, maxsize, currsize
-    protocol._live_rows(0.3)
-    assert protocol._live_rows.cache_info().hits == 1
-    assert protocol._live_rows(None) is not z_rows  # evicted by the sweep, rebuilt
-    assert protocol._live_rows.cache_info().misses == 5
+        protocol._entry_merge(delta, *sift)  # a sweep: each delay's table replaces the last
+    assert protocol._x_outcomes.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, currsize
+    assert protocol._entry_merge.cache_info()[1:] == (4, 4, 4)
+    protocol._entry_merge(0.3, *sift)  # a warm run reads its merge, not the table
+    protocol._entry_merge(0.3, "x", "paper", (0, 1))  # a new sift reads the table it has
+    assert protocol._x_outcomes.cache_info()[:2] == (1, 3)  # hits, misses
+    assert protocol._entry_merge.cache_info()[:2] == (1, 5)
+    assert protocol._entry_merge(None, "z", "physical", (0, 1)) is not z_merge  # evicted, merged again
+    assert protocol._entry_merge.cache_info().misses == 6
 
 
-def test_z_and_x_rows_never_share_a_key(monkeypatch):
-    # rows are rebuilt on every miss; the real delta-0 X table is computed once
-    # here, and the sweep's other delay only has to push the Z rows out
+def test_z_and_x_rows_never_share_a_key(monkeypatch, cleared_caches):
+    # the real delta-0 X table is computed once here, and the sweep's other
+    # delay only has to push it out
     real = functools.cache(protocol._live_outcomes)
     monkeypatch.setattr(protocol, "_live_outcomes", lambda delta: real(delta) if delta == 0 else protocol._z_outcomes())
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-3, trials=200_000, seed=17)
     x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
     assert z.delta == x.delta == 0.0
-    protocol._live_rows.cache_clear()
     x_cold = run_trials(x)
-    protocol._live_rows.cache_clear()
+    protocol._entry_merge.cache_clear()
     z_tally = run_trials(z)
     assert run_trials(x) == x_cold
-    assert protocol._live_rows.cache_info()[:2] == (0, 2)  # hits, misses: no X run got the Z rows
+    assert protocol._entry_merge.cache_info()[:2] == (0, 2)  # hits, misses: no X run got the Z merge
+    assert protocol._x_outcomes.cache_info()[:2] == (1, 1)  # the Z run read no X table
     run_trials(dataclasses.replace(x, delta=0.3))
     assert run_trials(z) == z_tally
-    # and back: the cache ends on real Z and delta-0 rows, as a run would leave it
-    assert run_trials(x) == x_cold
-    assert protocol._live_rows.cache_info().currsize == 2
+    assert run_trials(x) == x_cold  # its merge outlives the delta-0 table
+    assert protocol._entry_merge.cache_info()[:3] == (2, 3, 4)  # hits, misses, maxsize
+
+
+def test_the_z_table_is_built_once_per_process():
+    # an X sweep pushes the Z merge out of its cache, never the Z table
+    z = TrialConfig(etas=(0.5,) * 4, y0=1e-4, trials=1000, seed=5)
+    run_trials(z)
+    for delta, mode in product((0.1, 0.2, 0.3), ("paper", "physical")):
+        run_trials(dataclasses.replace(z, mode=mode, basis="x", delta=delta))
+    before = protocol._z_outcomes.cache_info()
+    run_trials(z)
+    after = protocol._z_outcomes.cache_info()
+    assert after.misses == 1
+    assert after.hits == before.hits + 1  # the Z merge was rebuilt from the cached table
 
 
 def test_x_basis_smoke():
@@ -432,34 +458,35 @@ def test_x_outcomes_equal_superposition_reference(x_superposition_outcomes):
     configs.append(((0, 1), (1, 0), (2, 0), (3, 1)))
     delta = math.pi / 8
     for c in configs:
-        assert protocol._outcomes(c, delta) == x_superposition_outcomes(c, delta), c
+        assert _outcomes(c, delta) == x_superposition_outcomes(c, delta), c
 
 
 _X_DELAYS = (0.0, math.pi / 8, math.pi / 2, 0.3, -1.1, 2 * math.pi, 7.0, 1e3, 1e300)
 
 
-def _assert_same_rows(rows, oracle, delta):
-    for name in ("label_bit", "cls", "prob", "mask", "free"):
-        a, b = getattr(rows, name), getattr(oracle, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), (delta, name)
+def _assert_same_table(table, oracle, delta):
+    assert table[0] == oracle[0], delta  # the spans
+    for name, a, b in zip(("prob", "mask", "free", "float prob"), table[1:], oracle[1:]):
+        assert a.dtype == b.dtype, (delta, name)
+        assert [(type(v), v) for v in a.tolist()] == [(type(v), v) for v in b.tolist()], (delta, name)
 
 
-def test_x_outcomes_equal_amplitude_reference_bit_for_bit(reference_x_outcomes, reference_live_rows):
+def test_x_outcomes_equal_amplitude_reference_bit_for_bit(reference_x_outcomes, reference_live_table):
     # every survivor configuration at delays where phi -> 1 or i, generic ones,
-    # and one where k * delta needs the full float range; the live rows built
-    # from the oracle's lists must be the sampler's arrays exactly
+    # and one where k * delta needs the full float range; the live table built
+    # from the oracle's lists must be the package's arrays exactly
     configs = sorted(set(protocol._SURVIVORS))
     for delta in _X_DELAYS:
         want = {c: reference_x_outcomes(c, delta) for c in configs}
         for c in configs:
-            outcomes = protocol._outcomes(c, delta)
+            outcomes = _outcomes(c, delta)
             assert outcomes == want[c], (delta, c)
             assert all(math.isfinite(p) for _, p, _, _ in outcomes), (delta, c)
-        _assert_same_rows(protocol._live_rows.__wrapped__(delta), reference_live_rows(want.__getitem__), delta)
+        _assert_same_table(protocol._live_outcomes(delta), reference_live_table(want.__getitem__, delta), delta)
 
 
-def test_z_live_rows_equal_the_reference_lists(reference_z_outcomes, reference_live_rows):
-    _assert_same_rows(protocol._live_rows.__wrapped__(None), reference_live_rows(reference_z_outcomes), None)
+def test_z_live_table_equals_the_reference_lists(reference_z_outcomes, reference_live_table):
+    _assert_same_table(protocol._z_outcomes(), reference_live_table(reference_z_outcomes, None), None)
 
 
 @pytest.mark.parametrize("delta", [None, math.pi / 8], ids=["z", "x-pi/8"])
@@ -467,11 +494,11 @@ def test_live_tables_drop_only_dead_outputs(delta):
     # the live view of the product rows keeps every output inside a pattern
     # and no other, in the full listing's order, value and type
     live = _live_masks()[1]
-    span, prob, mask, free = protocol._z_outcomes() if delta is None else protocol._live_outcomes(delta)
+    span, prob, mask, free, _ = protocol._z_outcomes() if delta is None else protocol._live_outcomes(delta)
     assert sorted(span) == sorted(set(protocol._SURVIVORS))
     assert sum(s.stop - s.start for s in span.values()) == len(prob) == len(mask) == len(free)
     for c, own in span.items():
-        want = [(type(p), p, m, f) for _, p, m, f in protocol._outcomes(c, delta) if m in live]
+        want = [(type(p), p, m, f) for _, p, m, f in _outcomes(c, delta) if m in live]
         got = [(type(p), p, m, f) for p, m, f in zip(prob[own].tolist(), mask[own].tolist(), free[own].tolist())]
         assert got == want, c
 
@@ -479,13 +506,10 @@ def test_live_tables_drop_only_dead_outputs(delta):
 def test_a_new_delay_runs_no_kernel(monkeypatch):
     # X rows are signed sums of the cached product rows, so once they exist a
     # further delay costs one merge and one evaluation per configuration
-    protocol._live_rows.__wrapped__(math.pi / 8)  # one X fill
-    want = protocol._live_rows.__wrapped__(0.7)
+    protocol._live_outcomes(math.pi / 8)  # one X fill
+    want = protocol._live_outcomes(0.7)
     monkeypatch.setattr(fock, "_times_image", lambda *args: pytest.fail("the kernel ran"))
-    got = protocol._live_rows.__wrapped__(0.7)
-    for name in ("label_bit", "cls", "prob", "mask", "free"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    _assert_same_table(protocol._live_outcomes(0.7), want, 0.7)
 
 
 def test_product_rows_keep_their_memory_bound():
@@ -512,7 +536,7 @@ def test_a_cold_x_fill_keeps_its_memory_bound():
     derive_detection_table()
     tracemalloc.start()
     try:
-        protocol._live_rows.__wrapped__(0.45)
+        protocol._live_outcomes(0.45)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -523,10 +547,10 @@ def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
     # no survivor: the vacuum, certain in either basis
     (vacuum,) = _survivor_state((), "z").terms()
     assert vacuum == ((), Amplitude.one())
-    assert protocol._outcomes((), None) == (((), Fraction(1), 0, True),)
-    assert type(protocol._outcomes((), None)[0][1]) is Fraction
+    assert _outcomes((), None) == (((), Fraction(1), 0, True),)
+    assert type(_outcomes((), None)[0][1]) is Fraction
     for delta in (0.0, 0.7):
-        assert protocol._outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
+        assert _outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
     # each configuration's rows in the batch are those of its own kernel call,
     # up to the slot numbering and the half-power, which reduction removes
     slots, rows = protocol._product_rows()
@@ -664,7 +688,7 @@ def test_z_outcomes_equal_direct_propagation(reference_z_outcomes):
             for mon, _ in state.terms()
         )
         assert reference_z_outcomes(c) == reference, c
-        outcomes = protocol._outcomes(c, None)
+        outcomes = _outcomes(c, None)
         assert outcomes == reference, c
         assert all(type(p) is Fraction for _, p, _, _ in outcomes), c
 
