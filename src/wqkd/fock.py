@@ -167,9 +167,7 @@ class FockState:
         With ``per_source`` the rows of each input monomial stay apart: the
         blocks come in a dict keyed by the input monomial.  Sources kept apart
         share no rows, so they are propagated at most ``_PASS`` at a time,
-        which bounds the peak memory, and each block is stored in the
-        narrowest integer dtype that holds it (:func:`_narrow`); widen it
-        before any arithmetic.
+        which bounds the peak memory.
         """
         slots, half, index, table = _slot_images(mm, {m for mon in self._terms for m in mon})
         base = max(
@@ -192,8 +190,7 @@ class FockState:
                 part = group[start : start + _PASS]
                 src, *columns = _propagate(part, base, index, table)
                 cuts = np.searchsorted(src, np.arange(1, len(part)))  # rows come sorted by source
-                split = (np.split(_narrow(column), cuts) for column in columns)
-                for (mon, _), codes, ks, nums in zip(part, *split):
+                for (mon, _), codes, ks, nums in zip(part, *(np.split(column, cuts) for column in columns)):
                     sources[mon] = (codes, ks, nums, h)
         return slots, (sources if per_source else blocks)
 
@@ -274,18 +271,6 @@ def _propagate(group: list[tuple[Monomial, Amplitude]], base: int, index: dict[M
     for j in range(n):
         rows = _times_image(rows, photons[rows[0], j], table)
     return rows
-
-
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """``a`` in the narrowest integer dtype that holds its values; Python ints stay."""
-    if a.dtype == object:
-        return a
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return a.astype(dtype)
-    return a
 
 
 def _numerators(rows: list[tuple[int, int, int, int]]) -> np.ndarray:

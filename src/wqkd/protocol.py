@@ -60,6 +60,7 @@ from .keyrate import left_sum
 N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
 _MAX_TRIALS = 10**10  # under a minute warm at the default channel: 180-250 M trials/s on a 2-core host
+_MAX_DARKS = 5 * 10**8  # expected dark clicks, each resolved on its own: 9-20 M/s warm on a 2-core host
 
 _LABEL_TO_IDX = {label: i for i, label in enumerate(DISTINGUISHABLE_LABELS)}
 _SLOT_OFFSET = {spatial: 4 * i for i, spatial in enumerate(OUTPUT_MODES)}  # 4 time bins per output mode
@@ -106,8 +107,10 @@ class TrialConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
-        if not 1 <= self.trials <= _MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {self.trials}")
+        limit = math.floor(min(_MAX_TRIALS, _MAX_DARKS / (N_SLOTS * self.y0))) if self.y0 else _MAX_TRIALS
+        at = f" at y0={self.y0} ({_MAX_DARKS} expected dark clicks)" if limit < _MAX_TRIALS else ""
+        if not 1 <= self.trials <= limit:
+            raise ValueError(f"trials must lie in [1, {limit}]{at}, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -122,25 +125,6 @@ class TrialConfig:
 def _product_monomial(survivors: tuple[tuple[int, int], ...]) -> Monomial:
     """The survivors' product monomial: party p with Z bit b is a†[p, b]."""
     return monomial(*(Mode(INPUT_MODES[party], bit) for party, bit in survivors))
-
-
-@functools.cache
-def _product_rows() -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
-    """The composed map's image of every survivor configuration's product
-    monomial, the vacuum included, as kernel rows kept apart per configuration.
-
-    One kernel run for all 81 Z configurations.  Every k-photon block lies at
-    the same half-power, and the columns are stored narrow (see
-    ``FockState.image_rows``).
-    """
-    configs = {_product_monomial(c): c for c in set(_SURVIVORS)}
-    state = FockState(dict.fromkeys(configs, Amplitude.one()))
-    slots, rows = state.image_rows(w_analyzer().composed_map, per_source=True)
-    return slots, {configs[mon]: block for mon, block in rows.items()}
-
-
-def _wide(column: np.ndarray) -> np.ndarray:
-    return column if column.dtype == object else column.astype(np.int64)
 
 
 def _slot_bits(slots: list[Mode]) -> np.ndarray:
@@ -167,25 +151,31 @@ def _click_lookup() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _live_product_rows() -> dict[tuple[tuple[int, int], ...], tuple]:
-    """The product rows of the outputs that lie inside some detection pattern.
+def _product_rows() -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
+    """The composed map's image of every survivor configuration's product
+    monomial, the vacuum included, as kernel rows kept apart per configuration,
+    with the rows of the outputs outside every detection pattern dropped.
 
-    Liveness depends on an output's slots alone, so every row of an output is
-    kept or dropped with it, and so is every X output merged from the blocks.
+    One kernel run for all 81 Z configurations; every k-photon block lies at
+    the same half-power.  Liveness depends on an output's slots alone, so
+    every row of an output is kept or dropped with it, and so is every X
+    output merged from the blocks.
     """
-    slots, rows = _product_rows()
+    configs = {_product_monomial(c): c for c in set(_SURVIVORS)}
+    state = FockState(dict.fromkeys(configs, Amplitude.one()))
+    slots, rows = state.image_rows(w_analyzer().composed_map, per_source=True)
     bits, live = _slot_bits(slots), _click_lookup()[1]
     out = {}
-    for c, (codes, ks, nums, h) in rows.items():
+    for mon, (codes, ks, nums, h) in rows.items():
         keep = live[np.bitwise_or.reduce(bits[codes], axis=1)]
-        out[c] = (codes[keep], ks[keep], nums[keep], h)
-    return out
+        out[configs[mon]] = (codes[keep], ks[keep], nums[keep], h)
+    return slots, out
 
 
 def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[list, tuple]]:
-    """The outputs of survivor configurations from their ``rows`` (product
-    rows, or their live view): Z basis for ``delta=None``, X at delta
-    otherwise.
+    """The outputs of survivor configurations from their ``rows``, kernel
+    blocks per configuration as ``_product_rows`` keeps them: Z basis for
+    ``delta=None``, X at delta otherwise.
 
     The analyzer is linear.  A Z configuration is its own product monomial.
     In X each photon of party p with bit x enters as (a†[p, 0] + (-1)**x
@@ -218,8 +208,7 @@ def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[li
                     blocks.append(block)
                     owner.append(i)
                     sign.append(-1 if flips % 2 else 1)
-            # the narrow columns of a pass, widened once
-            codes, ks, nums = (_wide(np.concatenate(column)) for column in list(zip(*blocks))[:3])
+            codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
             h = blocks[0][3]  # every k-photon block lies at the same half-power
             sizes = [len(block[1]) for block in blocks]
             src = np.repeat(owner, sizes)
@@ -331,7 +320,7 @@ def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, n
     """
     span, prob, mask, free = {}, [], [], []
     size = 0
-    for part, (src, _, *columns) in _passes(_live_product_rows(), _CONFIGS, delta):
+    for part, (src, _, *columns) in _passes(_product_rows()[1], _CONFIGS, delta):
         for c, n in zip(part, np.bincount(src, minlength=len(part)).tolist()):
             span[c] = slice(size, size + n)
             size += n

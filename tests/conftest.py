@@ -75,13 +75,25 @@ def w_state_chains():
     return chains
 
 
+@functools.cache  # one kernel batch for every listing
+def _full_product_rows():
+    """The kernel rows of every survivor configuration, dead outputs
+    included: one ``image_rows`` call over the 81 product monomials that
+    ``protocol._product_rows`` propagates, on the same slot list."""
+    configs = {protocol._product_monomial(c): c for c in protocol._CONFIGS}
+    state = FockState(dict.fromkeys(configs, Amplitude.one()))
+    slots, rows = state.image_rows(w_analyzer().composed_map, per_source=True)
+    assert slots == protocol._product_rows()[0]
+    return {configs[mon]: block for mon, block in rows.items()}
+
+
 def _outcomes(survivors, delta):
     """Monomial, probability, slot mask and bunching flag of every output of
     one configuration, dead outputs included, from a one-configuration pass
     of the package over the unfiltered product rows: Z basis for
     ``delta=None``, X at delta otherwise."""
-    slots, rows = protocol._product_rows()
-    ((_, (_, codes, prob, mask, free)),) = protocol._passes(rows, [survivors], delta)
+    slots = protocol._product_rows()[0]
+    ((_, (_, codes, prob, mask, free)),) = protocol._passes(_full_product_rows(), [survivors], delta)
     modes = np.fromiter(slots, object, len(slots))
     mons = zip(*(modes[col] for col in codes.T)) if codes.shape[1] else [()] * len(codes)
     return tuple(zip(mons, prob.tolist(), mask.tolist(), free.tolist()))

@@ -1,5 +1,10 @@
 import argparse
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +178,18 @@ def test_simulate_above_the_trial_cap_exits_1_without_a_trial(capsys, monkeypatc
         code, out, err = run(capsys, "simulate", "--basis", basis, "--trials", trials)
         assert (code, out) == (1, "")
         assert err == f"error: trials must lie in [1, 10000000000], got {trials}\n"
+
+
+def test_simulate_above_the_dark_click_cap_exits_1_without_a_trial(capsys, monkeypatch):
+    # each dark click is resolved on its own: 10**10 trials at y0 = 0.99 would
+    # resolve 1.6 * 10**11 of them, about two hours; 5 * 10**8 is under a minute
+    monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
+    for basis in ("z", "x"):
+        code, out, err = run(capsys, "simulate", "--basis", basis, "--trials", "10000000000", "--y0", "0.99")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: trials must lie in [1, 31565656] at y0=0.99 (500000000 expected dark clicks), got 10000000000\n"
+        )
 
 
 def test_simulate_x_delay_of_1e300_runs(capsys):
@@ -523,3 +540,55 @@ def test_main_reuses_one_parser(capsys):
     assert exc.value.code == cli.EXIT_USAGE
     assert "invalid choice: 'loose'" in capsys.readouterr().err
     assert run(capsys, *argvs[0]) == fresh[0]
+
+
+_WORK = """
+import contextlib, io, json, sys
+from wqkd import analyzer, cli, fock, protocol, verify
+
+calls = {"kernel": 0, "w": 0}
+
+
+def counted(name, f):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+
+    return wrapper
+
+
+fock._propagate = counted("kernel", fock._propagate)
+# verify imports propagate_w_state by name
+analyzer.propagate_w_state = verify.propagate_w_state = counted("w", analyzer.propagate_w_state)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+caches = (analyzer._derive_table, protocol._product_rows, protocol._z_outcomes, protocol._x_outcomes, protocol._plan, protocol._entry_merge)
+print(json.dumps([code, calls["kernel"], calls["w"], *(c.cache_info().misses for c in caches)]))
+"""
+
+# per command: exit code, kernel passes (fock._propagate calls), W propagations,
+# then the misses of _derive_table, _product_rows, _z_outcomes, _x_outcomes,
+# _plan and _entry_merge; the table is 16 passes, the product-row batch 21
+_WORK_PINS = {
+    "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    "keyrate": [0, 16, 16, 1, 0, 0, 0, 0, 0],
+    "derive-table": [0, 16, 16, 1, 0, 0, 0, 0, 0],
+    "verify": [0, 25, 17, 1, 0, 0, 0, 0, 0],
+    "enumerate": [0, 37, 16, 1, 1, 1, 0, 1, 0],
+    "simulate --trials 1000": [0, 37, 16, 1, 1, 1, 0, 1, 1],
+    "simulate --basis x --delta 0.3927 --trials 1000": [0, 37, 16, 1, 1, 0, 1, 0, 1],
+    "simulate --basis x --delta=1e308 --trials 1000": [1, 37, 16, 1, 1, 0, 1, 0, 1],
+}
+
+
+def test_each_command_does_its_pinned_work():
+    # the work is deterministic where the wall time is not: a lost cache, a
+    # second derivation or a Z fill in an X run changes a count here
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for command, want in _WORK_PINS.items():
+        result = subprocess.run(
+            [sys.executable, "-c", _WORK, *command.split()], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == want, command

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,13 +215,3 @@ def test_kernel_equals_reference_on_survivor_states(monkeypatch, reference_apply
     assert len(calls) == 81 + 66
     for state, mm, out in calls:
         assert out == reference_apply_mode_map(state, mm)
-
-
-def test_narrow_keeps_every_value_in_the_narrowest_dtype():
-    cases = (([], np.int8), ([-128, 127], np.int8), ([128], np.int16), ([-(2**15) - 1], np.int32), ([2**31], np.int64))
-    for values, dtype in cases:
-        column = np.array(values, np.int64)
-        narrow = fock._narrow(column)
-        assert narrow.dtype == dtype and np.array_equal(narrow, column), values
-    big = np.array([2**70], object)
-    assert fock._narrow(big) is big

@@ -35,6 +35,7 @@ from wqkd.protocol import (
 )
 
 from conftest import (
+    _full_product_rows,
     _live_masks,
     _outcomes,
     _reference_x_outcomes,
@@ -75,8 +76,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrialConfig(basis="y")
     for trials in (0, protocol._MAX_TRIALS + 1):
-        with pytest.raises(ValueError, match=r"trials must lie in \[1, 10000000000\]"):
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 10000000000\], got"):
             TrialConfig(trials=trials)
+    # a dense dark rate caps the trials lower: at most 5 * 10**8 expected dark clicks
+    dense = Fraction(protocol._MAX_DARKS, protocol.N_SLOTS * protocol._MAX_TRIALS)  # 1/320
+    for y0, trials in ((dense + Fraction(1, 10**15), protocol._MAX_TRIALS), (0.99, 31565657)):
+        with pytest.raises(ValueError, match=rf"trials must lie in \[1, {trials - 1}\] at y0="):
+            TrialConfig(y0=y0, trials=trials)
     with pytest.raises(ValueError):
         TrialConfig(announcers=(1, 1))
     for etas in ((0.5, 0.5, 0.5, 1.5), (-0.1, 0.5, 0.5, 0.5), (Fraction(3, 2),) * 4, (math.nan,) * 4):
@@ -99,7 +105,8 @@ def test_config_validation():
             TrialConfig(announcers=announcers)
     # boundary values and exact fractions stay valid
     TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0), seed=0)
-    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 3), trials=protocol._MAX_TRIALS)
+    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=dense, trials=protocol._MAX_TRIALS)
+    TrialConfig(y0=0.99, trials=31565656)
 
 
 def test_enumerator_dark_only_case():
@@ -513,9 +520,10 @@ def test_a_new_delay_runs_no_kernel(monkeypatch):
 
 
 def test_product_rows_keep_their_memory_bound():
-    # sources kept apart share no rows: 1.3 MB peak in passes of four
-    # sources, 3.9 MB in one pass; stored narrow, the rows take 0.11 MB
+    # sources kept apart share no rows: 1.5 MB peak in passes of four
+    # sources, 3.9 MB in one pass; the live rows take 0.33 MB
     w_analyzer().composed_map  # cached, and no part of the batch
+    protocol._click_lookup()  # the detection table that tells live outputs, likewise
     tracemalloc.start()
     try:
         slots, rows = protocol._product_rows.__wrapped__()
@@ -524,9 +532,6 @@ def test_product_rows_keep_their_memory_bound():
         tracemalloc.stop()
     assert peak < 2_000_000
     assert len(rows) == 81
-    for c, (codes, ks, nums, _) in rows.items():
-        for column in (codes, ks, nums):
-            assert column.dtype == fock._narrow(column.astype(np.int64)).dtype == np.int8, c
 
 
 def test_a_cold_x_fill_keeps_its_memory_bound():
@@ -551,19 +556,28 @@ def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
     assert type(_outcomes((), None)[0][1]) is Fraction
     for delta in (0.0, 0.7):
         assert _outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
-    # each configuration's rows in the batch are those of its own kernel call,
-    # up to the slot numbering and the half-power, which reduction removes
-    slots, rows = protocol._product_rows()
+    # each configuration's full rows are those of its own kernel call, up to
+    # the slot numbering and the half-power, which reduction removes
+    slots, live_rows = protocol._product_rows()
+    full = _full_product_rows()
+    assert full.keys() == live_rows.keys()
     composed = w_analyzer().composed_map
-    for c, (codes, ks, nums, h) in rows.items():
+    live = _live_masks()[1]
+    for c, (codes, ks, nums, h) in full.items():
         own_slots, ((own_codes, own_ks, own_nums, own_h),) = FockState.from_monomial(
             protocol._product_monomial(c)
         ).image_rows(composed)
         outputs = [[slots[i] for i in row] for row in codes.tolist()]
         assert outputs == [[own_slots[i] for i in row] for row in own_codes.tolist()], c
         assert np.array_equal(ks, own_ks), c
-        for a, b in zip(_reduce_rows(nums.astype(np.int64), h), _reduce_rows(own_nums, own_h)):
+        for a, b in zip(_reduce_rows(nums, h), _reduce_rows(own_nums, own_h)):
             assert np.array_equal(a, b), c
+        # the batch keeps exactly the rows of the live outputs, in order
+        keep = [protocol.slot_mask(slots[i] for i in row) in live for row in codes.tolist()]
+        assert live_rows[c][3] == h, c
+        for kept, column in zip(live_rows[c][:3], (codes, ks, nums)):
+            assert kept.dtype == column.dtype == np.int64, c
+            assert np.array_equal(kept, column[keep]), c
 
 
 _small = st.integers(-4, 4)
@@ -655,9 +669,8 @@ def test_source_column_equals_per_source_calls(state, mm, picks, delta, scale):
     state = state.scaled(Amplitude.gauss(scale))
     slots, rows = state.image_rows(mm, per_source=True)
     by_photons = {}
-    for mon, (codes, ks, nums, h) in rows.items():
-        wide = [c if c.dtype == object else c.astype(np.int64) for c in (codes, ks, nums)]
-        by_photons.setdefault(len(mon), []).append((*wide, h))
+    for mon, block in rows.items():
+        by_photons.setdefault(len(mon), []).append(block)
     for blocks in by_photons.values():
         sources = [blocks[i % len(blocks)] for i in picks]
         h = sources[0][3]
