@@ -34,7 +34,6 @@ from .protocol import (
     EnumerationResult,
     Tally,
     TrialConfig,
-    estimate,
     exact_enumerate,
     run_trials,
     survivor_coefficients,

@@ -28,7 +28,7 @@ from .keyrate import (
     secure_distance,
     sweep,
 )
-from .protocol import TrialConfig, estimate, exact_enumerate, run_trials
+from .protocol import TrialConfig, exact_enumerate, run_trials, wilson_interval
 from .qubits import W_LABELS, catalog_lines
 from .verify import run_all
 
@@ -321,15 +321,17 @@ def cmd_simulate(opts: dict) -> int:
         delta=0.0 if opts["delta"] is None else opts["delta"],
     )
     tally = run_trials(cfg)
-    report = estimate(tally)
     exact = exact_enumerate(cfg) if cfg.basis == "z" else None
     header = (
         f"# wqkd simulate mode={cfg.mode} basis={cfg.basis} eta={eta} y0={y0} "
         f"trials={cfg.trials} seed={cfg.seed}"
     )
-    e1_hat = "" if report.e1_hat is None else _sci(report.e1_hat)
-    e1_lo, e1_hi = ("", "") if report.e1_ci is None else (_sci(report.e1_ci[0]), _sci(report.e1_ci[1]))
-    fracs = None if report.per_case_fraction is None else [f"{x:.6f}" for x in report.per_case_fraction]
+    q1_lo, q1_hi = (_sci(x) for x in wilson_interval(tally.accepted, tally.trials))
+    e1_hat, e1_lo, e1_hi = "", "", ""
+    if tally.accepted:
+        e1_hat = _sci(tally.e1_hat)
+        e1_lo, e1_hi = (_sci(x) for x in wilson_interval(tally.errors, tally.accepted))
+    fracs = None if tally.per_case_fraction is None else [f"{x:.6f}" for x in tally.per_case_fraction]
     if opts["format"] == "csv":
         fields = {
             "mode": cfg.mode,
@@ -339,9 +341,9 @@ def cmd_simulate(opts: dict) -> int:
             "announced": tally.announced,
             "accepted": tally.accepted,
             "errors": tally.errors,
-            "Q1_hat": _sci(report.q1_hat),
-            "Q1_lo": _sci(report.q1_ci[0]),
-            "Q1_hi": _sci(report.q1_ci[1]),
+            "Q1_hat": _sci(tally.q1_hat),
+            "Q1_lo": q1_lo,
+            "Q1_hi": q1_hi,
             "e1_hat": e1_hat,
             "e1_lo": e1_lo,
             "e1_hi": e1_hi,
@@ -357,9 +359,9 @@ def cmd_simulate(opts: dict) -> int:
             f"announced = {tally.announced}",
             f"accepted = {tally.accepted}",
             f"errors = {tally.errors}",
-            f"Q1_hat = {_sci(report.q1_hat)}  ci95 = [{_sci(report.q1_ci[0])}, {_sci(report.q1_ci[1])}]",
+            f"Q1_hat = {_sci(tally.q1_hat)}  ci95 = [{q1_lo}, {q1_hi}]",
         ]
-        if report.e1_hat is None:
+        if not tally.accepted:
             lines.append("e1_hat = undefined (no accepted events)")
         else:
             lines.append(f"e1_hat = {e1_hat}  ci95 = [{e1_lo}, {e1_hi}]")
@@ -368,8 +370,10 @@ def cmd_simulate(opts: dict) -> int:
             lines.append(f"e1_exact = {_sci_e1(exact.e1)}")
             fr = "undefined (no accepted events)" if fracs is None else " ".join(fracs)
             lines.append(f"per_case_accepted_fraction = {fr}")
-    if report.note:
-        lines.append(f"# note: {report.note}")
+    if not tally.accepted:
+        lines.append("# note: no accepted events: e1 undefined")
+    elif cfg.basis == "x":
+        lines.append("# note: x basis: 'errors' counts equal key-holder x bits")
     _emit("\n".join(lines) + "\n", opts["out"])
     return EXIT_OK
 

@@ -137,37 +137,38 @@ class FockState:
     def apply_mode_map(self, mm: "ModeMap") -> FockState:
         """Substitute every creation operator by its image under ``mm``.
 
-        One canonical Amplitude per output, from the rows of :meth:`image_rows`.
+        One canonical Amplitude per output: the blocks of :meth:`image_rows`
+        of each photon number are merged, and each output's rows reduced.
         """
-        slots, blocks = self.image_rows(mm)
+        slots, sources = self.image_rows(mm)
         out: dict[Monomial, Amplitude] = {}
-        for codes, ks, nums, h in blocks:
+        for _, group in groupby(sources.items(), key=lambda item: len(item[0])):
+            blocks = [block for _, block in group]
+            codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
+            _, codes, ks, nums = _checked_merge((np.zeros_like(ks), codes, ks, nums), len(blocks))
+            h = blocks[0][3]  # every block of one photon number lies at the same half-power
             for c, terms in groupby(zip(codes.tolist(), ks.tolist(), nums.tolist()), key=itemgetter(0)):
                 coeffs = {k: _reduce(p, q, r, s, h) for _, k, (p, q, r, s) in terms}
                 out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)
         return FockState.__new_canonical(out)
 
-    def image_rows(self, mm: "ModeMap", per_source: bool = False) -> tuple[list[Mode], list | dict]:
-        """The image under ``mm`` as merged integer rows, one block per photon number.
+    def image_rows(self, mm: "ModeMap") -> tuple[list[Mode], dict]:
+        """The image under ``mm`` as integer rows, one block per input monomial.
 
         Exact integer kernel.  Every numerator of the images in use is lifted
         to their largest half-power H, and every numerator of the state to its
         own largest, H0, so an n-photon product lies at half-power H0 + n*H
         with four integers (p, q, r, s) for its coefficient.  The input
-        monomials of each photon number are propagated together, photon by
-        photon, on rows of (input monomial, sorted slot codes, phase power,
-        numerator); equal rows are merged after every photon.
+        monomials of each photon number are propagated together, at most
+        ``_PASS`` at a time to bound the peak memory: photon by photon, on
+        rows of (input monomial, sorted slot codes, phase power, numerator),
+        with equal rows merged after every photon.
 
-        Returns the sorted output slots and, per photon number, the block
-        (codes, ks, nums, h): row i adds nums[i] * 2**(-h/2) * phi**ks[i] to
-        the output whose slots are ``slots[c] for c in codes[i]``.  Rows are
-        sorted by codes, then by phase power, none is zero, and no numerator
-        is in canonical form yet.
-
-        With ``per_source`` the rows of each input monomial stay apart: the
-        blocks come in a dict keyed by the input monomial.  Sources kept apart
-        share no rows, so they are propagated at most ``_PASS`` at a time,
-        which bounds the peak memory.
+        Returns the sorted output slots and, per input monomial, grouped by
+        photon number, the block (codes, ks, nums, h): row i adds
+        nums[i] * 2**(-h/2) * phi**ks[i] to the output whose slots are
+        ``slots[c] for c in codes[i]``.  Rows are sorted by codes, then by
+        phase power, none is zero, and no numerator is in canonical form yet.
         """
         slots, half, index, table = _slot_images(mm, {m for mon in self._terms for m in mon})
         base = max(
@@ -176,23 +177,15 @@ class FockState:
         by_photons: dict[int, list[tuple[Monomial, Amplitude]]] = {}
         for mon, amp in self._terms.items():
             by_photons.setdefault(len(mon), []).append((mon, amp))
-        blocks = []
         sources: dict[Monomial, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         for n, group in by_photons.items():
-            h = base + n * half
-            if not per_source:
-                src, codes, ks, nums = _propagate(group, base, index, table)
-                if len(group) > 1:
-                    _, codes, ks, nums = _checked_merge((np.zeros_like(src), codes, ks, nums), len(group))
-                blocks.append((codes, ks, nums, h))
-                continue
             for start in range(0, len(group), _PASS):
                 part = group[start : start + _PASS]
                 src, *columns = _propagate(part, base, index, table)
                 cuts = np.searchsorted(src, np.arange(1, len(part)))  # rows come sorted by source
                 for (mon, _), codes, ks, nums in zip(part, *(np.split(column, cuts) for column in columns)):
-                    sources[mon] = (codes, ks, nums, h)
-        return slots, (sources if per_source else blocks)
+                    sources[mon] = (codes, ks, nums, base + n * half)
+        return slots, sources
 
     # -- measurement ---------------------------------------------------------
 
@@ -251,7 +244,7 @@ _Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _INT64_LIMIT = 1 << 63
 
 
-_PASS = 4  # input monomials per kernel pass when their rows stay apart
+_PASS = 4  # input monomials per kernel pass
 
 
 def _propagate(group: list[tuple[Monomial, Amplitude]], base: int, index: dict[Mode, int], table: tuple) -> _Rows:

@@ -114,11 +114,6 @@ class TrialConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-    @property
-    def key_holders(self) -> tuple[int, int]:
-        rest = [i for i in range(4) if i not in self.announcers]
-        return (rest[0], rest[1])
-
 
 # -- exact propagation of survivor configurations ----------------------------
 
@@ -163,7 +158,7 @@ def _product_rows() -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple
     """
     configs = {_product_monomial(c): c for c in set(_SURVIVORS)}
     state = FockState(dict.fromkeys(configs, Amplitude.one()))
-    slots, rows = state.image_rows(w_analyzer().composed_map, per_source=True)
+    slots, rows = state.image_rows(w_analyzer().composed_map)
     bits, live = _slot_bits(slots), _click_lookup()[1]
     out = {}
     for mon, (codes, ks, nums, h) in rows.items():
@@ -571,6 +566,11 @@ class Tally:
     def e1_hat(self) -> float | None:
         return None if self.accepted == 0 else self.errors / self.accepted
 
+    @property
+    def per_case_fraction(self) -> tuple[float, float, float, float, float] | None:
+        """Each photon case's share of the accepted trials; ``None`` (0/0) with none accepted."""
+        return None if self.accepted == 0 else tuple(c / self.accepted for c in self.per_case_accepted)
+
 
 _PHOTONS = np.array([bin(surv).count("1") for surv in range(16)], dtype=np.int64)
 
@@ -642,8 +642,6 @@ def _entries(cfg: TrialConfig) -> _Entries:
     # a row of weight 0.0 adds +0.0, which leaves every float sum as it was
     prob = np.bincount(inverse, weights=weight[surv] * prob, minlength=fields[0].size)
     live = prob != 0  # a zero weight (eta 0 or 1) can empty whole entries
-    if live.all():
-        return _Entries(prob, *fields)
     return _Entries(prob[live], *(f[live] for f in fields))
 
 
@@ -696,16 +694,6 @@ def run_trials(cfg: TrialConfig) -> Tally:
     )
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    q1_hat: float
-    q1_ci: tuple[float, float]
-    e1_hat: float | None
-    e1_ci: tuple[float, float] | None
-    per_case_fraction: tuple[float, float, float, float, float] | None  # 0/0 with no accepted events
-    note: str = ""
-
-
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     if n == 0:
         return (0.0, 1.0)
@@ -719,18 +707,3 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     hi = 1.0 if successes == n else min(1.0, center + half)
     return (lo, hi)
 
-
-def estimate(t: Tally) -> EstimateReport:
-    q1_ci = wilson_interval(t.accepted, t.trials)
-    if t.accepted == 0:
-        return EstimateReport(0.0, q1_ci, None, None, None, "no accepted events: e1 undefined")
-    fracs = tuple(c / t.accepted for c in t.per_case_accepted)
-    note = "" if t.config.basis == "z" else "x basis: 'errors' counts equal key-holder x bits"
-    return EstimateReport(
-        t.q1_hat,
-        q1_ci,
-        t.e1_hat,
-        wilson_interval(t.errors, t.accepted),
-        fracs,
-        note,
-    )

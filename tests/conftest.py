@@ -82,7 +82,7 @@ def _full_product_rows():
     ``protocol._product_rows`` propagates, on the same slot list."""
     configs = {protocol._product_monomial(c): c for c in protocol._CONFIGS}
     state = FockState(dict.fromkeys(configs, Amplitude.one()))
-    slots, rows = state.image_rows(w_analyzer().composed_map, per_source=True)
+    slots, rows = state.image_rows(w_analyzer().composed_map)
     assert slots == protocol._product_rows()[0]
     return {configs[mon]: block for mon, block in rows.items()}
 

@@ -198,6 +198,31 @@ def test_simulate_x_delay_of_1e300_runs(capsys):
     assert "basis=x" in out
 
 
+# the extremes of the numeric flags that no test above reaches; each run
+# returns within 0.1 s, except that 10**5 sweep points at 1e308 km, where a
+# 10 km step no longer advances, take about 2 s before the points cap stops them
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        ("keyrate --alpha 1e308", 0, "# secure_distance_km 0.0\n"),
+        ("keyrate --eta-d 1", 0, "# secure_distance_km 267.9\n"),
+        ("keyrate --q 1e-300", 0, "# secure_distance_km 184.0\n"),
+        ("keyrate --y0 0.99", 3, "error: key rate non-positive at zero distance\n"),
+        ("keyrate --dstep 1e308", 0, "# secure_distance_km 184.0\n"),
+        ("keyrate --dmin 1e308 --dmax 1e308", 1, "error: distance range has more than 100000 points\n"),
+        ("enumerate --eta 1 --y0 0.99", 0, "# paper_vs_closed_form_rel_delta Q1=0.000e+00 e1=0.000e+00\n"),
+        ("simulate --trials 1000 --eta 1", 0, "per_case_accepted_fraction = 0.000000 0.000000 0.000000 0.000000 1.000000\n"),
+        ("simulate --trials 1000 --seed 18446744073709551616", 0, "# note: no accepted events: e1 undefined\n"),
+    ],
+    ids=["alpha", "eta-d", "q", "y0", "dstep", "dmin-dmax", "enumerate-eta-y0", "simulate-eta", "seed"],
+)
+def test_numeric_flags_at_their_extremes_finish(capsys, argv, code, expected):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    assert (out if code == 0 else err).endswith(expected)
+    assert (err if code == 0 else out) == ""
+
+
 # sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the
 # command still enumerated the chosen mode a second time
 _ENUMERATE_STDOUT_SHA256 = {
@@ -267,14 +292,14 @@ def test_simulate_deterministic(capsys, tmp_path):
     assert "Q1_exact" in f1.read_text()
 
 
-_PINNED_FLAGS = ("--mode", "physical", "--eta", "0.9", "--y0", "1e-4", "--trials", "1000000", "--seed", "7", "--format", "csv")
+_PINNED_FLAGS = ("--mode", "physical", "--eta", "0.9", "--y0", "1e-4", "--trials", "1000000", "--seed", "7")
 
 
 @pytest.mark.parametrize(
-    "basis, expected",
+    "flags, expected",
     [
         (
-            ("--basis", "z"),
+            ("--basis", "z", *_PINNED_FLAGS, "--format", "csv"),
             (
                 '# wqkd simulate mode=physical basis=z eta=0.9 y0=0.0001 trials=1000000 seed=7\n'
                 'mode,basis,trials,seed,announced,accepted,errors,Q1_hat,Q1_lo,Q1_hi,e1_hat,e1_lo,e1_hi,Q1_exact,e1_exact,case1_frac,case2_frac,case3_frac,case4_frac,case5_frac\n'
@@ -282,7 +307,7 @@ _PINNED_FLAGS = ("--mode", "physical", "--eta", "0.9", "--y0", "1e-4", "--trials
             ),
         ),
         (
-            ("--basis", "x", "--delta", "0.3927"),
+            ("--basis", "x", "--delta", "0.3927", *_PINNED_FLAGS, "--format", "csv"),
             (
                 '# wqkd simulate mode=physical basis=x eta=0.9 y0=0.0001 trials=1000000 seed=7\n'
                 'mode,basis,trials,seed,announced,accepted,errors,Q1_hat,Q1_lo,Q1_hi,e1_hat,e1_lo,e1_hi,Q1_exact,e1_exact,case1_frac,case2_frac,case3_frac,case4_frac,case5_frac\n'
@@ -290,12 +315,66 @@ _PINNED_FLAGS = ("--mode", "physical", "--eta", "0.9", "--y0", "1e-4", "--trials
                 "# note: x basis: 'errors' counts equal key-holder x bits\n"
             ),
         ),
+        (
+            ("--basis", "z", *_PINNED_FLAGS),
+            (
+                "# wqkd simulate mode=physical basis=z eta=0.9 y0=0.0001 trials=1000000 seed=7\n"
+                "announced = 5197\n"
+                "accepted = 2607\n"
+                "errors = 0\n"
+                "Q1_hat = 2.60700000000e-03  ci95 = [2.50894977853e-03, 2.70887163625e-03]\n"
+                "e1_hat = 0.00000000000e+00  ci95 = [0.00000000000e+00, 1.47134894297e-03]\n"
+                "Q1_exact = 2.56657408999e-03\n"
+                "e1_exact = 1.08100935107e-03\n"
+                "per_case_accepted_fraction = 0.000000 0.000000 0.000000 0.001151 0.998849\n"
+            ),
+        ),
+        (
+            ("--basis", "x", "--delta", "0.3927", *_PINNED_FLAGS),
+            (
+                "# wqkd simulate mode=physical basis=x eta=0.9 y0=0.0001 trials=1000000 seed=7\n"
+                "announced = 5179\n"
+                "accepted = 1951\n"
+                "errors = 1330\n"
+                "Q1_hat = 1.95100000000e-03  ci95 = [1.86640487095e-03, 2.03942158380e-03]\n"
+                "e1_hat = 6.81701691440e-01  ci95 = [6.60692178984e-01, 7.01997079933e-01]\n"
+                "# note: x basis: 'errors' counts equal key-holder x bits\n"
+            ),
+        ),
+        (
+            ("--basis", "z", "--eta", "0", "--y0", "0", "--trials", "1000"),
+            (
+                "# wqkd simulate mode=paper basis=z eta=0.0 y0=0.0 trials=1000 seed=1\n"
+                "announced = 0\n"
+                "accepted = 0\n"
+                "errors = 0\n"
+                "Q1_hat = 0.00000000000e+00  ci95 = [0.00000000000e+00, 3.82675848556e-03]\n"
+                "e1_hat = undefined (no accepted events)\n"
+                "Q1_exact = 0.00000000000e+00\n"
+                "e1_exact = undefined (zero gain)\n"
+                "per_case_accepted_fraction = undefined (no accepted events)\n"
+                "# note: no accepted events: e1 undefined\n"
+            ),
+        ),
+        (
+            ("--basis", "x", "--eta", "0", "--y0", "0", "--trials", "1000"),
+            (
+                "# wqkd simulate mode=paper basis=x eta=0.0 y0=0.0 trials=1000 seed=1\n"
+                "announced = 0\n"
+                "accepted = 0\n"
+                "errors = 0\n"
+                "Q1_hat = 0.00000000000e+00  ci95 = [0.00000000000e+00, 3.82675848556e-03]\n"
+                "e1_hat = undefined (no accepted events)\n"
+                "# note: no accepted events: e1 undefined\n"
+            ),
+        ),
     ],
-    ids=["z", "x"],
+    ids=["z", "x", "z-text", "x-text", "z-no-accepted-events", "x-no-accepted-events"],
 )
-def test_simulate_stdout_is_pinned(capsys, basis, expected):
-    # the tallies, intervals and exact values of two fixed runs, byte for byte
-    code, out, err = run(capsys, "simulate", *basis, *_PINNED_FLAGS)
+def test_simulate_stdout_is_pinned(capsys, flags, expected):
+    # the tallies, intervals and exact values of fixed runs in both layouts,
+    # and of runs that accept nothing, byte for byte
+    code, out, err = run(capsys, "simulate", *flags)
     assert (code, err) == (0, "")
     assert out == expected
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wqkd import fock, protocol
@@ -154,8 +154,50 @@ _entry = st.tuples(st.sampled_from("efgh"), st.integers(0, 2), _amplitude)
 _map = st.fixed_dictionaries({sp: st.lists(_entry, max_size=3).map(tuple) for sp in "abc"}).map(ModeMap)
 
 
+# more monomials of one photon number than one kernel pass takes, so that
+# rows of one output come from different passes and are merged, or cancel
+_one, _root = Amplitude.one(), Amplitude.gauss(1, 0, 1)
+_phased = Amplitude({0: (1, 0, 0, 0, 0), 2: (0, -1, 1, 0, 1)})
+_SHARED = ModeMap({
+    "a": (("e", 0, _one), ("f", 1, Amplitude({1: (1, 1, 0, 0, 2)}))),
+    "b": (("e", 0, _one), ("g", 1, Amplitude({0: (0, 0, -1, 0, 2), 1: (1, 0, 0, 0, 1)}))),
+    "c": (("h", 0, Amplitude.gauss(0, 1, 1)), ("e", 2, Amplitude({0: (1, -2, 1, 1, 3), -1: (0, 1, 0, 0, 0)}))),
+})
+
+
+def _many(*terms):
+    """A state from ("a0 b1 ...", amplitude) pairs, its monomials in the order given."""
+    return FockState({monomial(*(Mode(m[0], int(m[1:])) for m in mon.split())): amp for mon, amp in terms})
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_state, _map)
+# five two-photon monomials: e0 e0 of the first pass cancels in the second
+@example(_many(("a0 a0", _one), ("a0 c0", _phased), ("a1 c1", _root), ("c0 c1", _one), ("b0 b0", -_one)), _SHARED)
+# six one-photon monomials beside the vacuum and a three-photon term
+@example(
+    _many(
+        ("a0", _one), ("a1", _phased), ("b0", -_one), ("", _root), ("a2", _root), ("b1", _one),
+        ("c0", Amplitude.gauss(2, 1)), ("a0 b1 c2", _phased),
+    ),
+    _SHARED,
+)
+# seven three-photon monomials
+@example(
+    _many(
+        ("a0 a0 b0", _one), ("a0 b0 b0", -_one), ("a0 c0 c1", _phased), ("b1 b1 b1", _root),
+        ("a0 a0 a0", -_phased), ("b0 b0 b0", _one), ("a0 b0 c2", Amplitude.gauss(1, -1, 3)),
+    ),
+    _SHARED,
+)
+# eight two-photon monomials: two full passes
+@example(
+    _many(
+        ("a0 b0", _one), ("a0 a0", _one), ("b0 b1", _phased), ("c0 c0", _root),
+        ("b0 b0", -_one), ("a1 b1", -_phased), ("a0 c2", _one), ("a1 b0", _root),
+    ),
+    _SHARED,
+)
 def test_kernel_equals_reference_walk(reference_apply_mode_map, state, mm):
     # bunched inputs, mixed photon numbers, multi-phase numerators with r, s != 0,
     # mixed even and odd half-powers, the vacuum and the zero state all occur
