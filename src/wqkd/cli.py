@@ -222,7 +222,6 @@ def cmd_verify(opts: dict) -> int:
 
 
 def cmd_keyrate(opts: dict) -> int:
-    constants = AnalyzerConstants.from_table(derive_detection_table())
     channel = ChannelParams(opts["alpha"], 0.0, opts["eta_d"])
     noise = NoiseParams(opts["y0"])
     rate = RateParams(opts["q"])
@@ -232,11 +231,13 @@ def cmd_keyrate(opts: dict) -> int:
     distances = []
     d = opts["dmin"]
     while d <= opts["dmax"] + 1e-9:
-        if len(distances) == _MAX_POINTS:
+        # a step that no longer advances d would reach the cap on the same point
+        if len(distances) == _MAX_POINTS or d + opts["dstep"] == d:
             print(f"error: distance range has more than {_MAX_POINTS} points", file=sys.stderr)
             return EXIT_USAGE
         distances.append(round(d, 9))
         d += opts["dstep"]
+    constants = AnalyzerConstants.from_table(derive_detection_table())
     header = (
         f"# wqkd keyrate alpha={opts['alpha']} eta_d={opts['eta_d']} "
         f"y0={opts['y0']} q={opts['q']} dmin={opts['dmin']} dmax={opts['dmax']} dstep={opts['dstep']}"

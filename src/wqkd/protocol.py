@@ -14,13 +14,9 @@ Two accounting modes:
 * ``physical`` - raw threshold semantics: a slot clicks when at least one
                  photon or dark event lands in it; bunching is invisible.
 
-The enumerator and the sampler read tables of live outcomes only: an
-outcome whose slot mask lies outside every detection pattern is never
-announced, since dark counts only add clicks.  The tables come from one
-cached kernel batch over the survivors' product monomials, with the dead
-rows dropped before any merge, evaluated a few configurations per pass.
-The exact Z table is built once, the X table once per delay; the enumerator
-walks the Z table once per announcer pair, the sampler merges once per sift.
+Both read the analyzer's tables of live outcomes (``wqkd.analyzer``): the
+enumerator walks the Z table once per announcer pair, the sampler merges a
+table once per sift.
 
 The Monte-Carlo sampler realizes the same model with counter-based randomness:
 fixed-size chunks, each drawing from a Philox stream keyed by (seed, chunk
@@ -34,43 +30,29 @@ dark click hits are resolved one by one.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
-from typing import Iterable, Iterator
 
 import numpy as np
 
-from .amplitude import _SQRT2, Amplitude, _reduce_rows
 from .analyzer import (
     DISTINGUISHABLE_LABELS,
-    INPUT_MODES,
-    OUTPUT_MODES,
+    N_SLOTS,
+    _LABEL_TO_IDX,
+    _click_lookup,
+    _x_outcomes,
+    _z_outcomes,
     derive_detection_table,
-    w_analyzer,
+    slot_mask,
 )
-from .errors import MixedPhaseWithoutDelta
-from .fock import _PASS, FockState, Mode, Monomial, _checked_merge, monomial
 from .keyrate import left_sum
 
-N_SLOTS = 16  # 4 output spatial modes x 4 time bins
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
 _MAX_TRIALS = 10**10  # under a minute warm at the default channel: 180-250 M trials/s on a 2-core host
 _MAX_DARKS = 5 * 10**8  # expected dark clicks, each resolved on its own: 9-20 M/s warm on a 2-core host
-
-_LABEL_TO_IDX = {label: i for i, label in enumerate(DISTINGUISHABLE_LABELS)}
-_SLOT_OFFSET = {spatial: 4 * i for i, spatial in enumerate(OUTPUT_MODES)}  # 4 time bins per output mode
-
-
-def slot_mask(mon: Iterable[Mode]) -> int:
-    mask = 0
-    for m in mon:
-        mask |= 1 << (_SLOT_OFFSET[m.spatial] + m.bin)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -115,225 +97,6 @@ class TrialConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-# -- exact propagation of survivor configurations ----------------------------
-
-def _product_monomial(survivors: tuple[tuple[int, int], ...]) -> Monomial:
-    """The survivors' product monomial: party p with Z bit b is a†[p, b]."""
-    return monomial(*(Mode(INPUT_MODES[party], bit) for party, bit in survivors))
-
-
-def _slot_bits(slots: list[Mode]) -> np.ndarray:
-    return np.array([1 << (_SLOT_OFFSET[m.spatial] + m.bin) for m in slots], np.int64)
-
-
-@functools.cache
-def _click_lookup() -> tuple[np.ndarray, np.ndarray]:
-    """Per click mask: ``1 << index`` of the label whose pattern it is (0 if
-    none), and whether it lies inside some pattern, the empty mask included."""
-    label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
-    live = np.zeros(1 << N_SLOTS, dtype=bool)
-    for label, pats in derive_detection_table().patterns.items():
-        for pattern in pats:
-            pmask = slot_mask(pattern)
-            label_bit[pmask] = 1 << _LABEL_TO_IDX[label]
-            sub = pmask
-            while True:  # every submask of the pattern, the empty one included
-                live[sub] = True
-                if not sub:
-                    break
-                sub = (sub - 1) & pmask
-    return label_bit, live
-
-
-@functools.cache
-def _product_rows() -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
-    """The composed map's image of every survivor configuration's product
-    monomial, the vacuum included, as kernel rows kept apart per configuration,
-    with the rows of the outputs outside every detection pattern dropped.
-
-    One kernel run for all 81 Z configurations; every k-photon block lies at
-    the same half-power.  Liveness depends on an output's slots alone, so
-    every row of an output is kept or dropped with it, and so is every X
-    output merged from the blocks.
-    """
-    configs = {_product_monomial(c): c for c in set(_SURVIVORS)}
-    state = FockState(dict.fromkeys(configs, Amplitude.one()))
-    slots, rows = state.image_rows(w_analyzer().composed_map)
-    bits, live = _slot_bits(slots), _click_lookup()[1]
-    out = {}
-    for mon, (codes, ks, nums, h) in rows.items():
-        keep = live[np.bitwise_or.reduce(bits[codes], axis=1)]
-        out[configs[mon]] = (codes[keep], ks[keep], nums[keep], h)
-    return slots, out
-
-
-def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[list, tuple]]:
-    """The outputs of survivor configurations from their ``rows``, kernel
-    blocks per configuration as ``_product_rows`` keeps them: Z basis for
-    ``delta=None``, X at delta otherwise.
-
-    The analyzer is linear.  A Z configuration is its own product monomial.
-    In X each photon of party p with bit x enters as (a†[p, 0] + (-1)**x
-    a†[p, 1]) / sqrt2, so the survivors' input is 2**(-k/2) times the sum
-    over bits z of (-1)**(x.z) times the product monomial with bits z: its
-    rows are the 2**k signed Z blocks merged, at half-power h + k.
-
-    Runs of consecutive configurations with equal photon number k are
-    evaluated in passes of at most ``_PASS``: the blocks of a pass are
-    concatenated with the configuration's index in the pass as their source,
-    and one ``_row_outcomes`` call evaluates them.  Yields each pass's
-    configurations and outputs.
-    """
-    slots, _ = _product_rows()
-    for k, run in groupby(configs, key=len):
-        run = list(run)
-        for start in range(0, len(run), _PASS):
-            part = run[start : start + _PASS]
-            blocks, owner, sign = [], [], []
-            for i, survivors in enumerate(part):
-                if delta is None:
-                    signed = [(rows[survivors], 0)]
-                else:
-                    parties = [party for party, _ in survivors]
-                    signed = [
-                        (rows[tuple(zip(parties, zbits))], sum(x & z for (_, x), z in zip(survivors, zbits)))
-                        for zbits in product((0, 1), repeat=k)
-                    ]
-                for block, flips in signed:
-                    blocks.append(block)
-                    owner.append(i)
-                    sign.append(-1 if flips % 2 else 1)
-            codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
-            h = blocks[0][3]  # every k-photon block lies at the same half-power
-            sizes = [len(block[1]) for block in blocks]
-            src = np.repeat(owner, sizes)
-            if delta is not None:
-                nums = nums * np.repeat(sign, sizes)[:, None]
-                src, codes, ks, nums = _checked_merge((src, codes, ks, nums), 1 << k)
-                h += k
-            yield part, _row_outcomes(slots, src, codes, ks, nums, h, delta)
-
-
-def _row_outcomes(
-    slots: list[Mode],
-    src: np.ndarray,
-    codes: np.ndarray,
-    ks: np.ndarray,
-    nums: np.ndarray,
-    h: int,
-    delta: float | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The outputs of a block of kernel rows, evaluated at delta.
-
-    Rows come sorted by source, then by codes; a new output starts wherever
-    the source or the codes change.  Returns the source, slot codes,
-    probability, slot mask and bunching-free flag of each output, in row
-    order.
-
-    Each probability is the one ``Amplitude.abs2(delta) * multiplicity``
-    gives, as a float at a delay.  A single phase power is the exact
-    |c|^2 * mult: a Fraction at ``delta=None`` when it is rational, else
-    rounded once.  A sum needs a delay; it is evaluated in the float
-    operations of ``Amplitude.evaluate``: each canonical coefficient times
-    exp(i k delta), added in ascending k, then squared in modulus.  Sources
-    evaluated together give the values each would give alone.
-    """
-    dtype = object if delta is None else float
-    if not len(ks):  # every output cancelled
-        return src, codes, np.empty(0, dtype), np.empty(0, np.int64), np.empty(0, bool)
-    if nums.dtype != object and np.abs(nums).max() >= 1 << 26:  # |c|^2 * mult might overflow int64
-        nums = nums.astype(object)
-    p, q, r, s, hs = _reduce_rows(nums, h)
-    first = np.ones(len(ks), bool)  # the first row of each output
-    first[1:] = (src[1:] != src[:-1]) | (codes[1:] != codes[:-1]).any(axis=1)
-    output = np.cumsum(first) - 1  # of each row
-    heads = codes[first]
-    mult = np.ones(len(heads), np.int64)  # product of n! over slot occupations
-    run = np.ones(len(heads), np.int64)
-    for j in range(1, heads.shape[1]):
-        run = np.where(heads[:, j] == heads[:, j - 1], run + 1, 1)
-        mult *= run
-    mask = np.bitwise_or.reduce(_slot_bits(slots)[heads], axis=1)
-
-    prob = np.empty(len(heads), dtype)
-    single = np.bincount(output) == 1
-    # one coefficient: |c|^2 = (plain + root * sqrt2) / 2**h, as _cabs2 has it
-    plain, root, h1 = (p * p + q * q + 2 * (r * r + s * s))[first], (2 * (p * r + q * s))[first], hs[first]
-    exact = single & (root == 0)
-    units = plain[exact] * mult[exact]
-    if delta is None or (units.size and units.max() >= 1 << 53):  # kept exact, or not exact as a float
-        fractions = [Fraction(int(u), 1 << int(e)) for u, e in zip(units, h1[exact])]
-        prob[exact] = fractions if delta is None else list(map(float, fractions))
-    else:
-        prob[exact] = np.ldexp(units.astype(float), -h1[exact])
-    irrational = single & (root != 0)
-    value = plain[irrational].astype(float) + root[irrational].astype(float) * _SQRT2
-    prob[irrational] = np.ldexp(value, -h1[irrational]) * mult[irrational]
-
-    mixed = np.flatnonzero(~single)
-    if delta is None:
-        if mixed.size:
-            raise MixedPhaseWithoutDelta(f"an output mixes phase powers {ks[output == mixed[0]].tolist()}: no delta")
-    else:
-        # several: sum_k c_k * exp(i k delta) with a dense column per k over
-        # the block's range; a power an output lacks adds +0.0, which changes
-        # no sum but the sign of a zero, and abs() drops that sign
-        low = int(ks.min())
-        phase = []
-        for k in range(low, int(ks.max()) + 1):
-            if not math.isfinite(k * delta):  # cmath.exp would raise, numpy would give nan
-                raise ValueError(f"delay delta={delta!r} is too large: phase power {k} times delta overflows")
-            phase.append(cmath.exp(1j * k * delta))
-        scale = np.array([2.0 ** (-e / 2) for e in range(int(hs.max()) + 1)])[hs]
-        re = (p.astype(float) + r.astype(float) * _SQRT2) * scale
-        im = (q.astype(float) + s.astype(float) * _SQRT2) * scale
-        col = ks - low
-        cos, sin = np.array([z.real for z in phase])[col], np.array([z.imag for z in phase])[col]
-        terms_re, terms_im = np.zeros((2, len(heads), len(phase)))
-        terms_re[output, col] = re * cos - im * sin  # complex product, as CPython forms it
-        terms_im[output, col] = re * sin + im * cos
-        sum_re, sum_im = np.zeros((2, len(heads)))
-        for j in range(len(phase)):
-            sum_re += terms_re[:, j]
-            sum_im += terms_im[:, j]
-        # float ** 2 is C pow, which can round otherwise than x * x
-        prob[mixed] = [
-            abs(complex(a, b)) ** 2 * m
-            for a, b, m in zip(sum_re[mixed].tolist(), sum_im[mixed].tolist(), mult[mixed].tolist())
-        ]
-    return src[first], heads, prob, mask, mult == 1
-
-
-def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The live outputs of all 81 survivor configurations: Z basis for
-    ``delta=None``, X at delta otherwise.
-
-    Returns the span of each configuration's outputs and the probability,
-    slot mask and bunching-free flag of each output, in the order of the
-    configuration's full listing, then the probabilities as floats, which
-    the sampler reads.
-    """
-    span, prob, mask, free = {}, [], [], []
-    size = 0
-    for part, (src, _, *columns) in _passes(_product_rows()[1], _CONFIGS, delta):
-        for c, n in zip(part, np.bincount(src, minlength=len(part)).tolist()):
-            span[c] = slice(size, size + n)
-            size += n
-        for column, values in zip((prob, mask, free), columns):
-            column.append(values)
-    prob, mask, free = (np.concatenate(column) for column in (prob, mask, free))
-    return span, prob, mask, free, prob.astype(float)
-
-
-# the analyzer is fixed: the Z table holds the 81 survivor configurations once, exact
-_z_outcomes = functools.cache(functools.partial(_live_outcomes, None))
-
-
-@functools.lru_cache(maxsize=1)  # the X table of the last delay a run used: a sweep builds each once
-def _x_outcomes(delta: float) -> tuple:
-    return _live_outcomes(delta)
-
-
 def _party_bit(bits: int, party: int) -> int:
     return (bits >> (3 - party)) & 1
 
@@ -344,8 +107,6 @@ _SURVIVORS = [
     for bits in range(16)
     for surv in range(16)
 ]
-# the distinct survivor configurations, by photon number, for the evaluation passes
-_CONFIGS = sorted(set(_SURVIVORS), key=lambda c: (len(c), c))
 
 
 def _sift(bits: int, basis: str, announcers: tuple[int, int]) -> tuple[tuple[int, ...], bool]:

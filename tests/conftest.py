@@ -3,12 +3,12 @@ import functools
 import numpy as np
 import pytest
 
-from wqkd import protocol
+from wqkd import analyzer, protocol
 from wqkd.amplitude import Amplitude, accumulate
-from wqkd.analyzer import DISTINGUISHABLE_LABELS, INPUT_MODES, derive_detection_table, w_analyzer
+from wqkd.analyzer import DISTINGUISHABLE_LABELS, INPUT_MODES, N_SLOTS, derive_detection_table, slot_mask, w_analyzer
 from wqkd.fock import FockState, Mode, ModeMap, Monomial, monomial, multiplicity_factor
 from wqkd.keyrate import AnalyzerConstants
-from wqkd.protocol import _CHUNK, N_SLOTS, Tally, slot_mask
+from wqkd.protocol import _CHUNK, Tally
 from wqkd.qubits import encode_fock, w_state
 
 pytest_plugins = ["pytester"]
@@ -79,11 +79,11 @@ def w_state_chains():
 def _full_product_rows():
     """The kernel rows of every survivor configuration, dead outputs
     included: one ``image_rows`` call over the 81 product monomials that
-    ``protocol._product_rows`` propagates, on the same slot list."""
-    configs = {protocol._product_monomial(c): c for c in protocol._CONFIGS}
+    ``analyzer._product_rows`` propagates, on the same slot list."""
+    configs = {analyzer._product_monomial(c): c for c in analyzer._CONFIGS}
     state = FockState(dict.fromkeys(configs, Amplitude.one()))
     slots, rows = state.image_rows(w_analyzer().composed_map)
-    assert slots == protocol._product_rows()[0]
+    assert slots == analyzer._product_rows()[0]
     return {configs[mon]: block for mon, block in rows.items()}
 
 
@@ -92,8 +92,8 @@ def _outcomes(survivors, delta):
     one configuration, dead outputs included, from a one-configuration pass
     of the package over the unfiltered product rows: Z basis for
     ``delta=None``, X at delta otherwise."""
-    slots = protocol._product_rows()[0]
-    ((_, (_, codes, prob, mask, free)),) = protocol._passes(_full_product_rows(), [survivors], delta)
+    slots = analyzer._product_rows()[0]
+    ((_, (_, codes, prob, mask, free)),) = analyzer._passes(_full_product_rows(), [survivors], delta)
     modes = np.fromiter(slots, object, len(slots))
     mons = zip(*(modes[col] for col in codes.T)) if codes.shape[1] else [()] * len(codes)
     return tuple(zip(mons, prob.tolist(), mask.tolist(), free.tolist()))
@@ -198,7 +198,7 @@ def _live_masks():
     for label, pats in derive_detection_table().patterns.items():
         for pattern in pats:
             pmask = slot_mask(pattern)
-            label_bit[pmask] = 1 << protocol._LABEL_TO_IDX[label]
+            label_bit[pmask] = 1 << analyzer._LABEL_TO_IDX[label]
             sub = pmask
             while True:
                 live.add(sub)
@@ -211,12 +211,12 @@ def _live_masks():
 def _reference_live_table(outcomes_of, delta):
     """The live-table oracle: each survivor configuration's listing
     ``outcomes_of(survivors)`` with its dead outcomes dropped one by one, in
-    the package's configuration order, which ``protocol._live_outcomes(delta)``
+    the package's configuration order, which ``analyzer._live_outcomes(delta)``
     must equal in span, dtype, type and value.  The Z probabilities stay
     exact; at a delay they are floats."""
     live = _live_masks()[1]
     span, outcomes = {}, []
-    for survivors in protocol._CONFIGS:
+    for survivors in analyzer._CONFIGS:
         own = [(p if delta is None else float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
         span[survivors] = slice(len(outcomes), len(outcomes) + len(own))
         outcomes += own
@@ -234,7 +234,7 @@ def _class_rows(basis, delta):
     """The live table of a basis and delay laid out one input class
     (bits * 16 + survival subset) at a time: each class's row numbers, then
     the class, float probability, slot mask and bunching flag of each row."""
-    span, prob, mask, free, _ = protocol._z_outcomes() if basis == "z" else protocol._x_outcomes(delta)
+    span, prob, mask, free, _ = analyzer._z_outcomes() if basis == "z" else analyzer._x_outcomes(delta)
     rows = [(cid, i) for cid, c in enumerate(protocol._SURVIVORS) for i in range(span[c].start, span[c].stop)]
     cls, take = np.array(rows).T
     return cls, np.array([float(p) for p in prob[take].tolist()]), mask[take], free[take]
@@ -254,7 +254,7 @@ def _reference_entries(cfg):
     error = np.zeros(16, dtype=np.int64)
     for bits in range(16):
         labels, error[bits] = protocol._sift(bits, cfg.basis, cfg.announcers)
-        accepts[bits] = sum(1 << protocol._LABEL_TO_IDX[label] for label in labels)
+        accepts[bits] = sum(1 << analyzer._LABEL_TO_IDX[label] for label in labels)
     cls, prob, mask, free = _class_rows(cfg.basis, cfg.delta)
     bits, surv = np.divmod(cls, 16)
     prob = weight[surv] * prob

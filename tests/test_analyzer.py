@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-from wqkd import protocol
 from wqkd.amplitude import Amplitude
 from wqkd.analyzer import (
     INPUT_MODES,
@@ -17,6 +16,7 @@ from wqkd.analyzer import (
     propagate_w_state,
     reference_table,
     render_pattern,
+    slot_mask,
     splitter_map,
     w_analyzer,
 )
@@ -81,7 +81,7 @@ def test_composed_propagation_equals_staged_oracle(x_superposition_outcomes, w_s
         state = _staged_propagate(net, photons)
         assert _survivor_state(c, "z") == state, c
         listing = tuple(
-            (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            (mon, state.pattern_probability(mon), slot_mask(mon), len(set(mon)) == len(mon))
             for mon, _ in state.terms()
         )
         assert _outcomes(c, None) == listing, c

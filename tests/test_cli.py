@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,8 +200,8 @@ def test_simulate_x_delay_of_1e300_runs(capsys):
 
 
 # the extremes of the numeric flags that no test above reaches; each run
-# returns within 0.1 s, except that 10**5 sweep points at 1e308 km, where a
-# 10 km step no longer advances, take about 2 s before the points cap stops them
+# returns within 0.1 s.  At 1e308 km a 10 km step no longer advances, so the
+# range is rejected at once (see the test below)
 @pytest.mark.parametrize(
     "argv, code, expected",
     [
@@ -221,6 +222,15 @@ def test_numeric_flags_at_their_extremes_finish(capsys, argv, code, expected):
     assert got == code
     assert (out if code == 0 else err).endswith(expected)
     assert (err if code == 0 else out) == ""
+
+
+def test_a_step_that_no_longer_advances_is_rejected_at_once(capsys):
+    # the range is rejected with the points cap's message, without building the
+    # 10**5 points first (3 s in-process when it did) or deriving the table
+    start = time.perf_counter()
+    got = run(capsys, "keyrate", "--dmin", "1e308", "--dmax", "1e308")
+    assert time.perf_counter() - start < 0.5
+    assert got == (1, "", "error: distance range has more than 100000 points\n")
 
 
 # sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the
@@ -641,22 +651,32 @@ fock._propagate = counted("kernel", fock._propagate)
 analyzer.propagate_w_state = verify.propagate_w_state = counted("w", analyzer.propagate_w_state)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-caches = (analyzer._derive_table, protocol._product_rows, protocol._z_outcomes, protocol._x_outcomes, protocol._plan, protocol._entry_merge)
+caches = (
+    analyzer._derive_table,
+    analyzer._product_rows,
+    analyzer._z_outcomes,
+    analyzer._x_outcomes,
+    protocol._plan,
+    protocol._entry_merge,
+    analyzer._click_lookup,
+)
 print(json.dumps([code, calls["kernel"], calls["w"], *(c.cache_info().misses for c in caches)]))
 """
 
 # per command: exit code, kernel passes (fock._propagate calls), W propagations,
-# then the misses of _derive_table, _product_rows, _z_outcomes, _x_outcomes,
-# _plan and _entry_merge; the table is 16 passes, the product-row batch 21
+# then the misses of every cached step of the chain that the analyzer's
+# docstring states: analyzer's _derive_table, _product_rows, _z_outcomes and
+# _x_outcomes, protocol's _plan and _entry_merge, and analyzer's _click_lookup;
+# the table is 16 passes, the product-row batch 21
 _WORK_PINS = {
-    "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-    "keyrate": [0, 16, 16, 1, 0, 0, 0, 0, 0],
-    "derive-table": [0, 16, 16, 1, 0, 0, 0, 0, 0],
-    "verify": [0, 25, 17, 1, 0, 0, 0, 0, 0],
-    "enumerate": [0, 37, 16, 1, 1, 1, 0, 1, 0],
-    "simulate --trials 1000": [0, 37, 16, 1, 1, 1, 0, 1, 1],
-    "simulate --basis x --delta 0.3927 --trials 1000": [0, 37, 16, 1, 1, 0, 1, 0, 1],
-    "simulate --basis x --delta=1e308 --trials 1000": [1, 37, 16, 1, 1, 0, 1, 0, 1],
+    "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    "keyrate": [0, 16, 16, 1, 0, 0, 0, 0, 0, 0],
+    "derive-table": [0, 16, 16, 1, 0, 0, 0, 0, 0, 0],
+    "verify": [0, 25, 17, 1, 0, 0, 0, 0, 0, 0],
+    "enumerate": [0, 37, 16, 1, 1, 1, 0, 1, 0, 1],
+    "simulate --trials 1000": [0, 37, 16, 1, 1, 1, 0, 1, 1, 1],
+    "simulate --basis x --delta 0.3927 --trials 1000": [0, 37, 16, 1, 1, 0, 1, 0, 1, 1],
+    "simulate --basis x --delta=1e308 --trials 1000": [1, 37, 16, 1, 1, 0, 1, 0, 1, 1],
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqkd import fock, protocol
+from wqkd import analyzer, fock, protocol
 from wqkd.amplitude import Amplitude, _reduce_rows
 from wqkd.analyzer import INPUT_MODES, OUTPUT_MODES, derive_detection_table, w_analyzer
 from wqkd.errors import MixedPhaseWithoutDelta
@@ -78,7 +78,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"trials must lie in \[1, 10000000000\], got"):
             TrialConfig(trials=trials)
     # a dense dark rate caps the trials lower: at most 5 * 10**8 expected dark clicks
-    dense = Fraction(protocol._MAX_DARKS, protocol.N_SLOTS * protocol._MAX_TRIALS)  # 1/320
+    dense = Fraction(protocol._MAX_DARKS, analyzer.N_SLOTS * protocol._MAX_TRIALS)  # 1/320
     for y0, trials in ((dense + Fraction(1, 10**15), protocol._MAX_TRIALS), (0.99, 31565657)):
         with pytest.raises(ValueError, match=rf"trials must lie in \[1, {trials - 1}\] at y0="):
             TrialConfig(y0=y0, trials=trials)
@@ -299,8 +299,8 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
     gain = err = 0.0
     for label, pats in table.patterns.items():
         for pat in pats:
-            pmask = protocol.slot_mask(pat)
-            inside = ((ent.mask | pmask) == pmask) & ((ent.accepts >> protocol._LABEL_TO_IDX[label]) & 1 == 1)
+            pmask = analyzer.slot_mask(pat)
+            inside = ((ent.mask | pmask) == pmask) & ((ent.accepts >> analyzer._LABEL_TO_IDX[label]) & 1 == 1)
             w = ent.prob[inside] * y0 ** (4 - photons_in[inside]) * (1 - y0) ** 12
             gain += w.sum()
             err += w[ent.error[inside]].sum()
@@ -390,26 +390,26 @@ def test_sampler_equals_per_trial_reference(
 
 @pytest.fixture
 def cleared_caches():
-    protocol._x_outcomes.cache_clear()
+    analyzer._x_outcomes.cache_clear()
     protocol._entry_merge.cache_clear()
     yield
     # stand-in tables must not reach the next test
-    protocol._x_outcomes.cache_clear()
+    analyzer._x_outcomes.cache_clear()
     protocol._entry_merge.cache_clear()
 
 
 def test_x_caches_hold_one_delay(monkeypatch, cleared_caches):
     # an X table stands in for itself with the cached Z one
-    monkeypatch.setattr(protocol, "_live_outcomes", lambda delta: protocol._z_outcomes())
+    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: analyzer._z_outcomes())
     sift = ("x", "physical", (0, 1))
     z_merge = protocol._entry_merge(None, "z", "physical", (0, 1))
     for delta in (0.1, 0.2, 0.3):
         protocol._entry_merge(delta, *sift)  # a sweep: each delay's table replaces the last
-    assert protocol._x_outcomes.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, currsize
+    assert analyzer._x_outcomes.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, currsize
     assert protocol._entry_merge.cache_info()[1:] == (4, 4, 4)
     protocol._entry_merge(0.3, *sift)  # a warm run reads its merge, not the table
     protocol._entry_merge(0.3, "x", "paper", (0, 1))  # a new sift reads the table it has
-    assert protocol._x_outcomes.cache_info()[:2] == (1, 3)  # hits, misses
+    assert analyzer._x_outcomes.cache_info()[:2] == (1, 3)  # hits, misses
     assert protocol._entry_merge.cache_info()[:2] == (1, 5)
     assert protocol._entry_merge(None, "z", "physical", (0, 1)) is not z_merge  # evicted, merged again
     assert protocol._entry_merge.cache_info().misses == 6
@@ -418,8 +418,8 @@ def test_x_caches_hold_one_delay(monkeypatch, cleared_caches):
 def test_z_and_x_rows_never_share_a_key(monkeypatch, cleared_caches):
     # the real delta-0 X table is computed once here, and the sweep's other
     # delay only has to push it out
-    real = functools.cache(protocol._live_outcomes)
-    monkeypatch.setattr(protocol, "_live_outcomes", lambda delta: real(delta) if delta == 0 else protocol._z_outcomes())
+    real = functools.cache(analyzer._live_outcomes)
+    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: real(delta) if delta == 0 else analyzer._z_outcomes())
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-3, trials=200_000, seed=17)
     x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
     assert z.delta == x.delta == 0.0
@@ -428,7 +428,7 @@ def test_z_and_x_rows_never_share_a_key(monkeypatch, cleared_caches):
     z_tally = run_trials(z)
     assert run_trials(x) == x_cold
     assert protocol._entry_merge.cache_info()[:2] == (0, 2)  # hits, misses: no X run got the Z merge
-    assert protocol._x_outcomes.cache_info()[:2] == (1, 1)  # the Z run read no X table
+    assert analyzer._x_outcomes.cache_info()[:2] == (1, 1)  # the Z run read no X table
     run_trials(dataclasses.replace(x, delta=0.3))
     assert run_trials(z) == z_tally
     assert run_trials(x) == x_cold  # its merge outlives the delta-0 table
@@ -441,9 +441,9 @@ def test_the_z_table_is_built_once_per_process():
     run_trials(z)
     for delta, mode in product((0.1, 0.2, 0.3), ("paper", "physical")):
         run_trials(dataclasses.replace(z, mode=mode, basis="x", delta=delta))
-    before = protocol._z_outcomes.cache_info()
+    before = analyzer._z_outcomes.cache_info()
     run_trials(z)
-    after = protocol._z_outcomes.cache_info()
+    after = analyzer._z_outcomes.cache_info()
     assert after.misses == 1
     assert after.hits == before.hits + 1  # the Z merge was rebuilt from the cached table
 
@@ -486,11 +486,11 @@ def test_x_outcomes_equal_amplitude_reference_bit_for_bit(reference_x_outcomes, 
             outcomes = _outcomes(c, delta)
             assert outcomes == want[c], (delta, c)
             assert all(math.isfinite(p) for _, p, _, _ in outcomes), (delta, c)
-        _assert_same_table(protocol._live_outcomes(delta), reference_live_table(want.__getitem__, delta), delta)
+        _assert_same_table(analyzer._live_outcomes(delta), reference_live_table(want.__getitem__, delta), delta)
 
 
 def test_z_live_table_equals_the_reference_lists(reference_z_outcomes, reference_live_table):
-    _assert_same_table(protocol._z_outcomes(), reference_live_table(reference_z_outcomes, None), None)
+    _assert_same_table(analyzer._z_outcomes(), reference_live_table(reference_z_outcomes, None), None)
 
 
 @pytest.mark.parametrize("delta", [None, math.pi / 8], ids=["z", "x-pi/8"])
@@ -498,7 +498,7 @@ def test_live_tables_drop_only_dead_outputs(delta):
     # the live view of the product rows keeps every output inside a pattern
     # and no other, in the full listing's order, value and type
     live = _live_masks()[1]
-    span, prob, mask, free, _ = protocol._z_outcomes() if delta is None else protocol._live_outcomes(delta)
+    span, prob, mask, free, _ = analyzer._z_outcomes() if delta is None else analyzer._live_outcomes(delta)
     assert sorted(span) == sorted(set(protocol._SURVIVORS))
     assert sum(s.stop - s.start for s in span.values()) == len(prob) == len(mask) == len(free)
     for c, own in span.items():
@@ -510,20 +510,20 @@ def test_live_tables_drop_only_dead_outputs(delta):
 def test_a_new_delay_runs_no_kernel(monkeypatch):
     # X rows are signed sums of the cached product rows, so once they exist a
     # further delay costs one merge and one evaluation per configuration
-    protocol._live_outcomes(math.pi / 8)  # one X fill
-    want = protocol._live_outcomes(0.7)
+    analyzer._live_outcomes(math.pi / 8)  # one X fill
+    want = analyzer._live_outcomes(0.7)
     monkeypatch.setattr(fock, "_times_image", lambda *args: pytest.fail("the kernel ran"))
-    _assert_same_table(protocol._live_outcomes(0.7), want, 0.7)
+    _assert_same_table(analyzer._live_outcomes(0.7), want, 0.7)
 
 
 def test_product_rows_keep_their_memory_bound():
     # sources kept apart share no rows: 1.5 MB peak in passes of four
     # sources, 3.9 MB in one pass; the live rows take 0.33 MB
     w_analyzer().composed_map  # cached, and no part of the batch
-    protocol._click_lookup()  # the detection table that tells live outputs, likewise
+    analyzer._click_lookup()  # the detection table that tells live outputs, likewise
     tracemalloc.start()
     try:
-        slots, rows = protocol._product_rows.__wrapped__()
+        slots, rows = analyzer._product_rows.__wrapped__()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,11 +534,11 @@ def test_product_rows_keep_their_memory_bound():
 def test_a_cold_x_fill_keeps_its_memory_bound():
     # passes of four configurations over live rows peak at 1.47-1.48 MB; evaluating
     # every output one configuration at a time peaked at 3.4 MB
-    protocol._product_rows()
+    analyzer._product_rows()
     derive_detection_table()
     tracemalloc.start()
     try:
-        protocol._live_outcomes(0.45)
+        analyzer._live_outcomes(0.45)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -555,13 +555,13 @@ def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
         assert _outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
     # each configuration's full rows are those of its own kernel call, up to
     # the slot numbering and the half-power, which reduction removes
-    slots, live_rows = protocol._product_rows()
+    slots, live_rows = analyzer._product_rows()
     full = _full_product_rows()
     assert full.keys() == live_rows.keys()
     composed = w_analyzer().composed_map
     live = _live_masks()[1]
     for c, (codes, ks, nums, h) in full.items():
-        own_slots, own_rows = FockState.from_monomial(protocol._product_monomial(c)).image_rows(composed)
+        own_slots, own_rows = FockState.from_monomial(analyzer._product_monomial(c)).image_rows(composed)
         ((own_codes, own_ks, own_nums, own_h),) = own_rows.values()
         outputs = [[slots[i] for i in row] for row in codes.tolist()]
         assert outputs == [[own_slots[i] for i in row] for row in own_codes.tolist()], c
@@ -569,7 +569,7 @@ def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
         for a, b in zip(_reduce_rows(nums, h), _reduce_rows(own_nums, own_h)):
             assert np.array_equal(a, b), c
         # the batch keeps exactly the rows of the live outputs, in order
-        keep = [protocol.slot_mask(slots[i] for i in row) in live for row in codes.tolist()]
+        keep = [analyzer.slot_mask(slots[i] for i in row) in live for row in codes.tolist()]
         assert live_rows[c][3] == h, c
         for kept, column in zip(live_rows[c][:3], (codes, ks, nums)):
             assert kept.dtype == column.dtype == np.int64, c
@@ -622,10 +622,10 @@ def test_x_evaluation_equals_abs2_on_any_rows(state, mm, delta, scale):
     # states alone never show; the sampler reads each probability as a float
     for slots, block, amps in _blocks(state, mm, scale):
         want = tuple(
-            (mon, float(amp.abs2(delta) * multiplicity_factor(mon)), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            (mon, float(amp.abs2(delta) * multiplicity_factor(mon)), analyzer.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, amp in amps
         )
-        assert _listing(slots, protocol._row_outcomes(slots, *block, delta)) == want
+        assert _listing(slots, analyzer._row_outcomes(slots, *block, delta)) == want
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -637,13 +637,13 @@ def test_evaluation_without_delay_equals_abs2_on_any_rows(state, mm, scale):
     for slots, block, amps in _blocks(state, mm, scale):
         if any(len(amp.phase_powers()) > 1 for _, amp in amps):
             with pytest.raises(MixedPhaseWithoutDelta):
-                protocol._row_outcomes(slots, *block, None)
+                analyzer._row_outcomes(slots, *block, None)
             continue
         want = [
-            (mon, amp.abs2() * multiplicity_factor(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            (mon, amp.abs2() * multiplicity_factor(mon), analyzer.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, amp in amps
         ]
-        got = _listing(slots, protocol._row_outcomes(slots, *block, None))
+        got = _listing(slots, analyzer._row_outcomes(slots, *block, None))
         assert got == tuple(want)
         assert [type(p) for _, p, _, _ in got] == [type(p) for _, p, _, _ in want]
 
@@ -651,7 +651,7 @@ def test_evaluation_without_delay_equals_abs2_on_any_rows(state, mm, scale):
 def _evaluated(slots, block, delta):
     """``_row_outcomes`` of one block, or the message of the error it raised."""
     try:
-        return protocol._row_outcomes(slots, *block, delta)
+        return analyzer._row_outcomes(slots, *block, delta)
     except MixedPhaseWithoutDelta as exc:
         return str(exc)
 
@@ -698,7 +698,7 @@ def test_z_outcomes_equal_direct_propagation(reference_z_outcomes):
         state = w_analyzer().propagate(FockState.from_monomial(Mode(INPUT_MODES[p], z) for p, z in c))
         assert _survivor_state(c, "z") == state, c
         reference = tuple(
-            (mon, state.pattern_probability(mon), protocol.slot_mask(mon), len(set(mon)) == len(mon))
+            (mon, state.pattern_probability(mon), analyzer.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, _ in state.terms()
         )
         assert reference_z_outcomes(c) == reference, c
@@ -748,7 +748,7 @@ def _exact_x(cfg, table):
     """
     turns = {0: 0, math.pi / 2: 1}[cfg.delta]
     y0 = cfg.y0
-    patterns = [protocol.slot_mask(p) for pats in table.patterns.values() for p in pats]
+    patterns = [analyzer.slot_mask(p) for pats in table.patterns.values() for p in pats]
     ra, rb = cfg.announcers
     ha, hb = (party for party in range(4) if party not in cfg.announcers)
     gain = err = Fraction(0)
@@ -769,7 +769,7 @@ def _exact_x(cfg, table):
             for mon, p in _exact_x_probabilities(tuple(survivors), turns):
                 if cfg.mode == "paper" and len(set(mon)) != len(mon):
                     continue
-                mask = protocol.slot_mask(mon)
+                mask = analyzer.slot_mask(mon)
                 missing = 4 - bin(mask).count("1")
                 click += p * y0**missing * sum(1 for pattern in patterns if not mask & ~pattern)
             contrib = weight * click * (1 - y0) ** 12
@@ -846,7 +846,8 @@ def test_wilson_interval_sanity():
 def _walk_enumerate(cfg, tab):
     """The enumerator's walk over patterns x photon outcomes, kept verbatim as
     the reference for its cached click terms (the totals use the left fold)."""
-    from wqkd.protocol import EnumerationResult, _party_bit, slot_mask
+    from wqkd.analyzer import slot_mask
+    from wqkd.protocol import EnumerationResult, _party_bit
 
     y0 = cfg.y0
     no_dark_rest = (1 - y0) ** 12
