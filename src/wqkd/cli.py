@@ -23,6 +23,7 @@ from .keyrate import (
     RateParams,
     Transmittances,
     case_breakdown,
+    check_search_limit,
     e1_identical,
     q1_identical,
     secure_distance,
@@ -226,15 +227,12 @@ def cmd_keyrate(opts: dict) -> int:
     noise = NoiseParams(opts["y0"])
     rate = RateParams(opts["q"])
     if opts["dmin"] < 0 or opts["dmax"] < opts["dmin"] or opts["dstep"] <= 0:
-        print("error: invalid distance range", file=sys.stderr)
-        return EXIT_USAGE
-    distances = []
-    d = opts["dmin"]
+        raise ValueError("invalid distance range")
+    check_search_limit(opts["dmax"])  # before any point is built: every d is then at most 1e6 km
+    distances, d = [], opts["dmin"]
     while d <= opts["dmax"] + 1e-9:
-        # a step that no longer advances d would reach the cap on the same point
-        if len(distances) == _MAX_POINTS or d + opts["dstep"] == d:
-            print(f"error: distance range has more than {_MAX_POINTS} points", file=sys.stderr)
-            return EXIT_USAGE
+        if len(distances) == _MAX_POINTS:
+            raise ValueError(f"distance range has more than {_MAX_POINTS} points")
         distances.append(round(d, 9))
         d += opts["dstep"]
     constants = AnalyzerConstants.from_table(derive_detection_table())
@@ -245,8 +243,7 @@ def cmd_keyrate(opts: dict) -> int:
     sep = "," if (opts["format"] or "csv") == "csv" else "  "
     lines = [header, sep.join(("distance_km", "eta", "Q1", "e1", "R0"))]
     for row in sweep(channel, noise, constants, rate, distances):
-        cells = (_sci(row.distance_km), _sci(row.eta), _sci(row.q1), _sci(row.e1), _sci(row.r0))
-        lines.append(sep.join(cells))
+        lines.append(sep.join(_sci(x) for x in (row.distance_km, row.eta, row.q1, row.e1, row.r0)))
     try:
         dist = secure_distance(channel, noise, constants, rate, d_max=max(opts["dmax"], 2000.0))
     except NoPositiveRate:

@@ -242,6 +242,11 @@ def sweep(
     return [_point(c, n, k, p, d) for d in distances]
 
 
+def check_search_limit(d_max: float) -> None:
+    if d_max > _MAX_SEARCH_KM:  # a rate that never falls, at alpha = 0, would scan all the way
+        raise ValueError(f"secure-distance search limit {d_max:g} km is beyond {_MAX_SEARCH_KM:g} km")
+
+
 def secure_distance(
     c: ChannelParams,
     n: NoiseParams,
@@ -254,8 +259,7 @@ def secure_distance(
     Returns None when the rate never crosses zero inside [0, d_max] (the
     sweep-limit sentinel; this is the y0 = 0 situation).
     """
-    if d_max > _MAX_SEARCH_KM:  # a rate that never falls, at alpha = 0, would scan all the way
-        raise ValueError(f"secure-distance search limit {d_max:g} km is beyond {_MAX_SEARCH_KM:g} km")
+    check_search_limit(d_max)
     if _point(c, n, k, p, 0.0).r0 <= 0:
         raise NoPositiveRate("key rate non-positive at zero distance")
     lo, hi = 0.0, None

@@ -51,8 +51,8 @@ from .analyzer import (
 from .keyrate import left_sum
 
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
-_MAX_TRIALS = 10**10  # under a minute warm at the default channel: 180-250 M trials/s on a 2-core host
-_MAX_DARKS = 5 * 10**8  # expected dark clicks, each resolved on its own: 9-20 M/s warm on a 2-core host
+_DARK_COST = 16  # trials' time per dark click, each resolved on its own; measured in README "CLI"
+_BUDGET = 10**10 * (1 + _DARK_COST * N_SLOTS * 6.02e-6)  # trials + _DARK_COST * dark clicks: 10**10 at default y0
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,9 @@ class TrialConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
-        limit = math.floor(min(_MAX_TRIALS, _MAX_DARKS / (N_SLOTS * self.y0))) if self.y0 else _MAX_TRIALS
-        at = f" at y0={self.y0} ({_MAX_DARKS} expected dark clicks)" if limit < _MAX_TRIALS else ""
+        limit = math.floor(_BUDGET / (1 + _DARK_COST * N_SLOTS * self.y0))  # expected darks: trials * N_SLOTS * y0
         if not 1 <= self.trials <= limit:
-            raise ValueError(f"trials must lie in [1, {limit}]{at}, got {self.trials}")
+            raise ValueError(f"trials must lie in [1, {limit}] at y0={self.y0}, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

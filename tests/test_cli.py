@@ -173,24 +173,22 @@ def test_simulate_x_delay_whose_phase_overflows_exits_1(capsys, delta, power):
 
 @pytest.mark.parametrize("trials", ["10000000001", "1000000000000000000000"])
 def test_simulate_above_the_trial_cap_exits_1_without_a_trial(capsys, monkeypatch, trials):
-    # 10**10 trials is under a minute warm at the default channel; a larger count never starts
+    # at the default y0 the work budget is 10**10 trials, about a minute warm; a larger count never starts
     monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
     for basis in ("z", "x"):
         code, out, err = run(capsys, "simulate", "--basis", basis, "--trials", trials)
         assert (code, out) == (1, "")
-        assert err == f"error: trials must lie in [1, 10000000000], got {trials}\n"
+        assert err == f"error: trials must lie in [1, 10000000000] at y0=6.02e-06, got {trials}\n"
 
 
 def test_simulate_above_the_dark_click_cap_exits_1_without_a_trial(capsys, monkeypatch):
-    # each dark click is resolved on its own: 10**10 trials at y0 = 0.99 would
-    # resolve 1.6 * 10**11 of them, about two hours; 5 * 10**8 is under a minute
+    # each dark click is resolved on its own and costs 16 trials of the budget:
+    # 10**10 trials at y0 = 0.99 would resolve 1.6 * 10**11 of them, about two hours
     monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
     for basis in ("z", "x"):
         code, out, err = run(capsys, "simulate", "--basis", basis, "--trials", "10000000000", "--y0", "0.99")
         assert (code, out) == (1, "")
-        assert err == (
-            "error: trials must lie in [1, 31565656] at y0=0.99 (500000000 expected dark clicks), got 10000000000\n"
-        )
+        assert err == "error: trials must lie in [1, 39362565] at y0=0.99, got 10000000000\n"
 
 
 def test_simulate_x_delay_of_1e300_runs(capsys):
@@ -200,8 +198,9 @@ def test_simulate_x_delay_of_1e300_runs(capsys):
 
 
 # the extremes of the numeric flags that no test above reaches; each run
-# returns within 0.1 s.  At 1e308 km a 10 km step no longer advances, so the
-# range is rejected at once (see the test below)
+# returns within 0.1 s.  A --dmax of 1e308 km is beyond the secure-distance
+# search limit, so the range is rejected before any point is built (see the
+# test below)
 @pytest.mark.parametrize(
     "argv, code, expected",
     [
@@ -210,7 +209,7 @@ def test_simulate_x_delay_of_1e300_runs(capsys):
         ("keyrate --q 1e-300", 0, "# secure_distance_km 184.0\n"),
         ("keyrate --y0 0.99", 3, "error: key rate non-positive at zero distance\n"),
         ("keyrate --dstep 1e308", 0, "# secure_distance_km 184.0\n"),
-        ("keyrate --dmin 1e308 --dmax 1e308", 1, "error: distance range has more than 100000 points\n"),
+        ("keyrate --dmin 1e308 --dmax 1e308", 1, "error: secure-distance search limit 1e+308 km is beyond 1e+06 km\n"),
         ("enumerate --eta 1 --y0 0.99", 0, "# paper_vs_closed_form_rel_delta Q1=0.000e+00 e1=0.000e+00\n"),
         ("simulate --trials 1000 --eta 1", 0, "per_case_accepted_fraction = 0.000000 0.000000 0.000000 0.000000 1.000000\n"),
         ("simulate --trials 1000 --seed 18446744073709551616", 0, "# note: no accepted events: e1 undefined\n"),
@@ -224,13 +223,24 @@ def test_numeric_flags_at_their_extremes_finish(capsys, argv, code, expected):
     assert (err if code == 0 else out) == ""
 
 
-def test_a_step_that_no_longer_advances_is_rejected_at_once(capsys):
-    # the range is rejected with the points cap's message, without building the
-    # 10**5 points first (3 s in-process when it did) or deriving the table
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("--dmin 1e308 --dmax 1e308", "secure-distance search limit 1e+308 km is beyond 1e+06 km"),
+        ("--dmin 1e300 --dmax 1e301 --dstep 1e290", "secure-distance search limit 1e+301 km is beyond 1e+06 km"),
+        ("--dmin 1e6 --dmax 1e6 --dstep 1e-11", "distance range has more than 100000 points"),
+    ],
+    ids=["no-step-beyond-limit", "tiny-step-beyond-limit", "no-step-at-limit"],
+)
+def test_a_step_that_no_longer_advances_is_rejected_at_once(capsys, argv, err):
+    # a --dmax beyond the search limit is rejected before any point is built
+    # (10**5 points of round(d, 9) took 2.6 s in-process at d = 1e300); within
+    # it, a step too small to advance d reaches the points cap in 10**5 cheap
+    # points, and neither rejection derives the table
     start = time.perf_counter()
-    got = run(capsys, "keyrate", "--dmin", "1e308", "--dmax", "1e308")
+    got = run(capsys, "keyrate", *argv.split())
     assert time.perf_counter() - start < 0.5
-    assert got == (1, "", "error: distance range has more than 100000 points\n")
+    assert got == (1, "", f"error: {err}\n")
 
 
 # sha256 of `wqkd enumerate --mode M --eta 0.0145` stdout, recorded when the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqkd.analyzer import N_SLOTS
 from wqkd.errors import NoPositiveRate, ZeroGain
 from wqkd.keyrate import (
     AnalyzerConstants,
@@ -24,7 +25,7 @@ from wqkd.keyrate import (
     sweep,
     transmittance,
 )
-from wqkd.protocol import TrialConfig
+from wqkd.protocol import _BUDGET, _DARK_COST, TrialConfig
 
 K = AnalyzerConstants(Fraction(3, 64), Fraction(1, 64))
 
@@ -95,6 +96,8 @@ _PARAMETERS = {
         and _finite(c.delta)
         and _integer(c.trials)
         and c.trials >= 1
+        # one work budget: trials + _DARK_COST * expected dark clicks (trials * N_SLOTS * y0)
+        and c.trials <= _BUDGET / (1 + _DARK_COST * N_SLOTS * c.y0)
         and _integer(c.seed)
         and c.seed >= 0
         and all(_integer(r) and 0 <= r < 4 for r in c.announcers)

@@ -74,14 +74,15 @@ def test_config_validation():
         TrialConfig(mode="loose")
     with pytest.raises(ValueError):
         TrialConfig(basis="y")
-    for trials in (0, protocol._MAX_TRIALS + 1):
-        with pytest.raises(ValueError, match=r"trials must lie in \[1, 10000000000\], got"):
+    for trials in (0, 10**10 + 1):
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 10000000000\] at y0=6.02e-06, got"):
             TrialConfig(trials=trials)
-    # a dense dark rate caps the trials lower: at most 5 * 10**8 expected dark clicks
-    dense = Fraction(protocol._MAX_DARKS, analyzer.N_SLOTS * protocol._MAX_TRIALS)  # 1/320
-    for y0, trials in ((dense + Fraction(1, 10**15), protocol._MAX_TRIALS), (0.99, 31565657)):
-        with pytest.raises(ValueError, match=rf"trials must lie in \[1, {trials - 1}\] at y0="):
-            TrialConfig(y0=y0, trials=trials)
+    # trials and expected dark clicks share one budget, so a denser dark rate caps the trials
+    # lower; 10**10 trials at y0 = 1/320 once passed a trial cap and a dark-click cap both
+    for y0, limit in ((Fraction(1, 320), 5564117333), (0.99, 39362565)):
+        for trials in (limit + 1, 10**10):
+            with pytest.raises(ValueError, match=rf"trials must lie in \[1, {limit}\] at y0={y0}, got {trials}$"):
+                TrialConfig(y0=y0, trials=trials)
     with pytest.raises(ValueError):
         TrialConfig(announcers=(1, 1))
     for etas in ((0.5, 0.5, 0.5, 1.5), (-0.1, 0.5, 0.5, 0.5), (Fraction(3, 2),) * 4, (math.nan,) * 4):
@@ -104,8 +105,10 @@ def test_config_validation():
             TrialConfig(announcers=announcers)
     # boundary values and exact fractions stay valid
     TrialConfig(etas=(Fraction(0), Fraction(1), 0.0, 1.0), y0=Fraction(0), seed=0)
-    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=dense, trials=protocol._MAX_TRIALS)
-    TrialConfig(y0=0.99, trials=31565656)
+    TrialConfig(trials=10**10)
+    TrialConfig(etas=(Fraction(1, 3),) * 4, y0=Fraction(1, 320), trials=5564117333)
+    TrialConfig(y0=0.99, trials=39362565)
+    TrialConfig(y0=math.nextafter(1.0, 0.0))  # `enumerate --y0 0.99` builds its configs at the default trials
 
 
 def test_enumerator_dark_only_case():
