@@ -186,8 +186,12 @@ def derive_detection_table(cache: bool = True) -> DetectionTable:
 
 @functools.cache
 def _derive_table() -> DetectionTable:
-    outputs = {label: propagate_w_state(label) for label in range(16)}
-    support = {label: {mon for mon, _ in state.terms() if _is_coincidence(mon)} for label, state in outputs.items()}
+    # each label keeps only its coincidence terms, so one whole propagated state is alive at a time
+    outputs = {
+        label: FockState({mon: amp for mon, amp in propagate_w_state(label).terms() if _is_coincidence(mon)})
+        for label in range(16)
+    }
+    support = {label: {mon for mon, _ in state.terms()} for label, state in outputs.items()}
     counts = Counter(mon for pats in support.values() for mon in pats)
     unique = {label: tuple(sorted(m for m in pats if counts[m] == 1)) for label, pats in support.items()}
     patterns = {label: pats for label, pats in unique.items() if pats}

@@ -24,8 +24,12 @@ index), so a tally depends only on the seed and the trial count.  A chunk
 draws its trial counts over the live (input class, photon outcome) entries
 and one dead bucket of outcomes that are never announced, then its dark
 clicks sparsely: a binomial count over the chunk's slots, then that many
-distinct positions.  Trials are tallied per entry; only the trials that a
-dark click hits are resolved one by one.
+distinct positions.  Trials are tallied per entry.  A chunk does nothing but
+draw: its counts and positions wait in a hold, which one vectorized pass
+resolves once it holds enough darks or chunks, and after the last chunk.  The
+pass groups the held darks by the trial they hit, ORs their slot bits and
+moves each hit trial from its entry's no-dark tally cell to the cell of its
+clicks.  A chunk at a dense dark rate fills the hold alone.
 """
 
 from __future__ import annotations
@@ -51,7 +55,11 @@ from .analyzer import (
 from .keyrate import left_sum
 
 _CHUNK = 1 << 16  # fixed chunk size; part of the determinism contract
-_DARK_COST = 16  # trials' time per dark click, each resolved on its own; measured in README "CLI"
+# the hold is resolved once it holds this many darks, fewer than a chunk draws
+# at y0 = 1e-2 (about 10.5k), so a dense chunk is resolved alone ...
+_HOLD_DARKS = 4096
+_HOLD_CHUNKS = 64  # ... or this many chunks, which bounds the held counts
+_DARK_COST = 16  # trials' time per dark click; measured in README "CLI"
 _BUDGET = 10**10 * (1 + _DARK_COST * N_SLOTS * 6.02e-6)  # trials + _DARK_COST * dark clicks: 10**10 at default y0
 
 
@@ -123,6 +131,21 @@ def _sift(bits: int, basis: str, announcers: tuple[int, int]) -> tuple[tuple[int
         labels = ((12, 13) if a else (0, 1)) if a == b else ()
     ha, hb = (_party_bit(bits, party) for party in range(4) if party not in announcers)
     return labels, ha == hb
+
+
+def _survival_weights(etas: tuple) -> list:
+    """The weight of each photon-survival subset in an input class: 1/16
+    times eta or 1 - eta of each party, multiplied party by party."""
+    # Fraction(1, 16) * float is 0.0625 * float: the same bits, no Fraction dispatch
+    first = 1 / 16 if isinstance(etas[0], float) else Fraction(1, 16)
+    factors = [(1 - eta, eta) for eta in etas]
+    weights = []
+    for surv in range(16):
+        weight = first
+        for party, factor in enumerate(factors):
+            weight = weight * factor[_party_bit(surv, party)]
+        weights.append(weight)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -256,15 +279,7 @@ def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
     # exact: a key's click is summed when a weight first needs it
     clicks = [None] * len(plan.exact) if isinstance(y0, (int, Fraction)) else plan.float_clicks(cfg.mode, powers)
     no_dark_rest = (1 - y0) ** 12
-    # Fraction(1, 16) * float is 0.0625 * float: the same bits, no Fraction dispatch
-    first = 1 / 16 if isinstance(cfg.etas[0], float) else Fraction(1, 16)
-    factors = [(1 - eta, eta) for eta in cfg.etas]
-    weights = []  # of the 16 photon-survival subsets
-    for surv in range(16):
-        weight = first
-        for party, factor in enumerate(factors):
-            weight = weight * factor[_party_bit(surv, party)]
-        weights.append(weight)
+    weights = _survival_weights(cfg.etas)
     gain = [Fraction(0)] * 5
     err = [Fraction(0)] * 5
     for surv, key, k, is_error in plan.entries:
@@ -392,10 +407,7 @@ def _entry_merge(delta: float | None, basis: str, mode: str, announcers: tuple[i
 
 
 def _entries(cfg: TrialConfig) -> _Entries:
-    subsets = np.arange(16)
-    weight = np.full(16, 1 / 16)
-    for party, eta in enumerate(cfg.etas):
-        weight *= np.where(_party_bit(subsets, party), float(eta), 1 - float(eta))
+    weight = np.array(_survival_weights(tuple(map(float, cfg.etas))))
     # a Z configuration carries delta 0.0, so the Z table must not key on it
     delta = cfg.delta if cfg.basis == "x" else None
     surv, prob, inverse, fields = _entry_merge(delta, cfg.basis, cfg.mode, cfg.announcers)
@@ -405,43 +417,86 @@ def _entries(cfg: TrialConfig) -> _Entries:
     return _Entries(prob[live], *(f[live] for f in fields))
 
 
+def _dark_hits(positions: list, darks: list, before: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hold trials below ``before`` that held darks hit, in order, and
+    the slot bits each one's darks set: position p of held chunk k hits slot
+    p % N_SLOTS of hold trial k * _CHUNK + p // N_SLOTS."""
+    # hold positions lie below N_SLOTS * _CHUNK * _HOLD_CHUNKS = 2**26, and int32 sorts faster
+    pos = np.concatenate(positions, dtype=np.int32, casting="same_kind")
+    pos += np.repeat(np.arange(len(darks), dtype=np.int32) * (N_SLOTS * _CHUNK), darks)
+    pos.sort()
+    pos = pos[: np.searchsorted(pos, N_SLOTS * before)]
+    trial = pos // N_SLOTS  # numpy divides by a scalar fast, but takes remainders slowly
+    first = np.flatnonzero(np.diff(trial, prepend=-1) != 0)  # each dark-hit trial's first dark
+    slot = pos & (N_SLOTS - 1)  # N_SLOTS is a power of two
+    return trial[first], np.bitwise_or.reduceat(np.left_shift(1, slot), first)
+
+
+def _dark_moves(held: np.ndarray, positions: list, darks: list, mask, cell) -> tuple[np.ndarray, np.ndarray]:
+    """The held chunks' dark-hit trials, each of which leaves its entry's
+    no-dark cell for the cell of its clicks with the darks ORed in: how many
+    land in each tally cell, and how many leave each entry.
+
+    ``held`` lists the held chunks' counts one chunk after another, each
+    chunk's dead bucket last, so every held chunk but the last sums to
+    ``_CHUNK`` and the running sum of ``held`` ends each (chunk, entry) run
+    of hold trials.  ``mask`` and the flat ``cell`` have a row for the dead
+    bucket too.  The last chunk's dead trials end the hold, so their darks
+    are cut before any work: all the dead darks of a chunk held alone.
+    """
+    label_bit = _click_lookup()[0]
+    ends, width = np.cumsum(held, dtype=np.int32), mask.size
+    hit, dark = _dark_hits(positions, darks, ends[-1] - held[-1])
+    if hit.size < ends.size:  # the fewer sorted values are searched among the more
+        entry = np.searchsorted(ends, hit, side="right") % width
+        left = np.bincount(entry, minlength=width)
+    else:
+        runs = np.diff(np.searchsorted(hit, ends), prepend=0)  # hit trials per (chunk, entry) run
+        entry = np.repeat(np.tile(np.arange(width), len(darks)), runs)
+        left = runs.reshape(-1, width).sum(axis=0)
+    moved = cell[entry * (cell.size // width) + label_bit[mask[entry] | dark]]
+    return np.bincount(moved, minlength=12), left
+
+
 def run_trials(cfg: TrialConfig) -> Tally:
     """Seeded Monte-Carlo realization of the protocol model.
 
     Trial t lives in chunk t // 65536; the module docstring says what a chunk
     draws.  A tally ignores trial order, so trials are counted per entry: a
-    chunk's live trials are its entry counts in entry order, and only the
-    trials that a dark click hits are resolved one by one.
+    chunk's trials are its entry counts in entry order, the dead bucket last.
+    A chunk only draws: its counts and dark positions wait in a hold, which
+    ``_dark_moves`` resolves in one pass once it holds ``_HOLD_DARKS`` darks
+    or ``_HOLD_CHUNKS`` chunks, and after the last chunk.
     """
-    label_bit = _click_lookup()[0]
     ent = _entries(cfg)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
-    cell, hits = ent.cell.ravel(), ent.cell.shape[1]  # one flat index beats two on the darks' path
+    # the dead bucket's row clicks nowhere and tallies in cell 0, which no count reads
+    mask, cell = np.append(ent.mask, 0), np.append(ent.cell, np.zeros_like(ent.cell[0]))
     y0 = float(cfg.y0)
-    counts = np.zeros(ent.prob.size, dtype=np.int64)  # live trials per entry, all chunks
-    cells = np.zeros(12, dtype=np.int64)  # trials per tally cell; the no-dark cells come last
-    for chunk in range((cfg.trials + _CHUNK - 1) // _CHUNK):
+    counts = np.zeros(pvals.size, dtype=np.int64)  # no-dark trials per entry, dead bucket last
+    cells = np.zeros(12, dtype=np.int64)  # trials per tally cell
+    lives, positions, darks = [], [], []  # the hold: each held chunk's counts, dark positions and darks
+    held_darks = 0
+    last = (cfg.trials - 1) // _CHUNK
+    for chunk in range(last + 1):
         n = min(_CHUNK, cfg.trials - chunk * _CHUNK)
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[cfg.seed, chunk])))
-        # trials in the dead bucket (the last count) are never announced
-        live = gen.multinomial(n, pvals)[:-1]
-        counts += live
-        darks = gen.binomial(N_SLOTS * n, y0)
-        if not darks:
+        lives.append(gen.multinomial(n, pvals))
+        d = gen.binomial(N_SLOTS * n, y0)
+        if d:
+            positions.append(gen.choice(N_SLOTS * n, d, replace=False, shuffle=False))
+            held_darks += d
+        darks.append(d)
+        if chunk < last and held_darks < _HOLD_DARKS and len(lives) < _HOLD_CHUNKS:
             continue
-        # positions lie below N_SLOTS * _CHUNK = 2**20, and int32 sorts faster
-        pos = gen.choice(N_SLOTS * n, darks, replace=False, shuffle=False).astype(np.int32)
-        pos.sort()
-        # live trials come first, in entry order: entry i's darks are pos[bounds[i]:bounds[i + 1]]
-        bounds = np.searchsorted(pos, N_SLOTS * np.cumsum(np.append(0, live), dtype=np.int32))
-        trial, slot = np.divmod(pos[: bounds[-1]], N_SLOTS)
-        first = np.flatnonzero(np.diff(trial, prepend=-1) != 0)  # each dark-hit trial's first dark
-        entry = np.repeat(np.arange(live.size), np.diff(bounds))[first]
-        dark = np.bitwise_or.reduceat(np.left_shift(1, slot), first)
-        # a dark-hit trial leaves its entry's no-dark cell for the cell of its clicks
-        cells += np.bincount(cell[entry * hits + label_bit[ent.mask[entry] | dark]], minlength=12)
-        cells -= np.bincount(ent.no_dark[entry], minlength=12)
-    np.add.at(cells, ent.no_dark, counts)
+        held = np.concatenate(lives)
+        counts += held.reshape(-1, pvals.size).sum(axis=0)
+        if held_darks:
+            moved, left = _dark_moves(held, positions, darks, mask, cell)
+            cells += moved
+            counts -= left
+        lives, positions, darks, held_darks = [], [], [], 0
+    np.add.at(cells, ent.no_dark, counts[:-1])
     case_acc = cells[2:7] + cells[7:]
     return Tally(
         cfg,

@@ -70,6 +70,22 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _trial_config(draw) -> TrialConfig:
+    y0 = draw(_NUMBERS)
+    if 0 <= y0 < 1 and draw(st.booleans()):
+        # trials next to the work limit at this y0, which the dark clicks lower, and every other field valid
+        limit = math.floor(_BUDGET / (1 + _DARK_COST * N_SLOTS * y0))
+        return TrialConfig(y0=y0, trials=draw(st.integers(limit - 2, limit + 2)))
+    return TrialConfig(
+        etas=tuple(draw(_NUMBERS) for _ in range(4)),
+        y0=y0,
+        trials=draw(_INTEGERS),
+        seed=draw(_INTEGERS),
+        delta=draw(_NUMBERS),
+        announcers=(draw(_PARTIES), draw(_PARTIES)),
+    )
+
+
 # each class: how to build it from drawn values, and what its fields must satisfy
 _PARAMETERS = {
     "ChannelParams": (
@@ -83,14 +99,7 @@ _PARAMETERS = {
         lambda t: all(0 <= eta <= 1 for eta in t),
     ),
     "TrialConfig": (
-        lambda draw: TrialConfig(
-            etas=tuple(draw(_NUMBERS) for _ in range(4)),
-            y0=draw(_NUMBERS),
-            trials=draw(_INTEGERS),
-            seed=draw(_INTEGERS),
-            delta=draw(_NUMBERS),
-            announcers=(draw(_PARTIES), draw(_PARTIES)),
-        ),
+        _trial_config,
         lambda c: all(0 <= eta <= 1 for eta in c.etas)
         and 0 <= c.y0 < 1
         and _finite(c.delta)

@@ -391,6 +391,17 @@ def test_sampler_equals_per_trial_reference(
     assert run_trials(cfg) == reference_run_trials(cfg)
 
 
+@pytest.mark.parametrize("basis", "zx")
+@pytest.mark.parametrize("y0", [6.02e-6, 1e-3, 1e-2, 0.2])
+def test_sampler_equals_per_trial_reference_across_holds(reference_run_trials, basis, y0):
+    # 20 chunks and a 777-trial tail: at 6.02e-6 every chunk waits for the
+    # one pass after the last chunk, at 1e-3 a pass runs every few chunks,
+    # and from 1e-2 on every chunk passes alone
+    cfg = TrialConfig((0.5, 0.3, 0.7, 0.5), y0, "physical" if basis == "z" else "paper", basis, (0, 2),
+                      20 * protocol._CHUNK + 777, 20)
+    assert run_trials(cfg) == reference_run_trials(cfg)
+
+
 @pytest.fixture
 def cleared_caches():
     analyzer._x_outcomes.cache_clear()
