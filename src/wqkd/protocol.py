@@ -16,7 +16,9 @@ Two accounting modes:
 
 Both read the analyzer's tables of live outcomes (``wqkd.analyzer``): the
 enumerator walks the Z table once per announcer pair, the sampler merges a
-table once per sift.
+table once per sift into its one entry table, dead bucket included
+(``_entry_merge``).  A call only weights the entries: one that a
+transmittance of 0 or 1 empties stays in the draw and gets no trial.
 
 The Monte-Carlo sampler realizes the same model with counter-based randomness:
 fixed-size chunks, each drawing from a Philox stream keyed by (seed, chunk
@@ -350,38 +352,24 @@ class Tally:
 _PHOTONS = np.array([bin(surv).count("1") for surv in range(16)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class _Entries:
-    """The sampler's live entries for one configuration; all else is dead.
-
-    Entry i gathers the (input class, photon outcome) pairs that tally alike:
-    photon slot mask ``mask[i]``, the label bits the announcers' bits accept,
-    the error flag of the key holders' bits and the number of surviving
-    photons.  ``prob[i]`` is their summed probability.  ``cell[i, h]`` is the
-    tally cell of entry i when the clicks hit label bits h: 0 unannounced, 1
-    announced and rejected, 2 + k accepted in photon case k, 7 + k accepted
-    in error; ``no_dark[i]`` is its cell when no dark click lands.
-    """
-
-    prob: np.ndarray
-    mask: np.ndarray
-    accepts: np.ndarray
-    error: np.ndarray
-    photons: np.ndarray
-    cell: np.ndarray
-    no_dark: np.ndarray
-
-
 @functools.lru_cache(maxsize=4)  # the merge depends on the table and the sift only, so warm calls reuse it
-def _entry_merge(delta: float | None, basis: str, mode: str, announcers: tuple[int, int]) -> tuple:
-    """The entries of one sift, before weights: the survival subset and the
-    probability of each row the mode keeps, the entry it joins, and the
-    entries' other fields.
+def _entry_merge(delta: float | None, mode: str, announcers: tuple[int, int]) -> tuple:
+    """The sampler's entry table for one sift, before weights: the Z table's
+    for ``delta=None``, else the X table's at delta.
 
-    The rows are the live table's (Z for ``delta=None``, else X at delta),
-    laid out per input class (bits * 16 + survival subset): each class holds
-    its survivor configuration's span.
+    The table's rows are laid out per input class (bits * 16 + survival
+    subset), each class holding its survivor configuration's span.  Entry i
+    gathers the rows that tally alike: same photon slot mask ``mask[i]``,
+    labels the announcers' bits accept, error flag of the key holders' bits
+    and number of surviving photons.  ``cell[i * 16 + h]`` is entry i's tally
+    cell when the clicks hit label bits h: 0 unannounced, 1 announced and
+    rejected, 2 + k accepted in photon case k, 7 + k accepted in error;
+    ``no_dark[i]`` is its cell when no dark click lands.  Returns the
+    survival subset and probability of each row the mode keeps, the entry it
+    joins, ``no_dark``, and ``mask`` and the flat ``cell`` with the dead
+    bucket's row last.
     """
+    basis = "z" if delta is None else "x"
     span, _, mask, free, prob = _z_outcomes() if delta is None else _x_outcomes(delta)
     spans = [span[survivors] for survivors in _SURVIVORS]
     take = np.concatenate([np.arange(s.start, s.stop) for s in spans])
@@ -398,23 +386,28 @@ def _entry_merge(delta: float | None, basis: str, mode: str, announcers: tuple[i
     # merging shortens the multinomial draw: 9420 live Z rows make 1674 entries
     kind, inverse = np.unique(kind, return_inverse=True)
     mask = (kind >> 8).astype(np.uint32)
-    accepts, error, photons = (kind >> 4) & 15, ((kind >> 3) & 1).astype(bool), kind & 7
+    accepts, error, photons = (kind >> 4) & 15, (kind >> 3) & 1, kind & 7
     hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))  # every label_bit value
     cell = np.where((accepts[:, None] & hits) != 0, (2 + photons + 5 * error)[:, None], hits != 0).astype(np.int8)
     no_dark = cell[np.arange(kind.size), _click_lookup()[0][mask]]
+    # the dead bucket's row clicks nowhere and tallies in cell 0, which no count
+    # reads; a uint32 0 keeps mask uint32 (a plain 0 would promote it to int64)
+    mask, cell = np.append(mask, np.uint32(0)), np.append(cell, np.zeros_like(cell[0]))
     # kept as long as the rows are, so the small-valued columns are stored compactly
-    return surv.astype(np.uint8), prob[take], inverse, (mask, accepts, error, photons, cell, no_dark)
+    return surv.astype(np.uint8), prob[take], inverse, no_dark, mask, cell
 
 
-def _entries(cfg: TrialConfig) -> _Entries:
-    weight = np.array(_survival_weights(tuple(map(float, cfg.etas))))
+def _weighted_merge(cfg: TrialConfig) -> tuple:
+    """The entry table of ``cfg``'s sift, weighted by its etas: each entry's
+    probability, then ``_entry_merge``'s ``no_dark``, ``mask`` and ``cell``."""
     # a Z configuration carries delta 0.0, so the Z table must not key on it
     delta = cfg.delta if cfg.basis == "x" else None
-    surv, prob, inverse, fields = _entry_merge(delta, cfg.basis, cfg.mode, cfg.announcers)
-    # a row of weight 0.0 adds +0.0, which leaves every float sum as it was
-    prob = np.bincount(inverse, weights=weight[surv] * prob, minlength=fields[0].size)
-    live = prob != 0  # a zero weight (eta 0 or 1) can empty whole entries
-    return _Entries(prob[live], *(f[live] for f in fields))
+    surv, prob, inverse, no_dark, mask, cell = _entry_merge(delta, cfg.mode, cfg.announcers)
+    weight = np.array(_survival_weights(tuple(map(float, cfg.etas))))
+    # a row of weight 0.0 adds +0.0, which leaves every float sum as it was; an
+    # entry it empties stays in the draw, where multinomial gives it no trial
+    prob = np.bincount(inverse, weights=weight[surv] * prob, minlength=no_dark.size)
+    return prob, no_dark, mask, cell
 
 
 def _dark_hits(positions: list, darks: list, before: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,10 +461,8 @@ def run_trials(cfg: TrialConfig) -> Tally:
     ``_dark_moves`` resolves in one pass once it holds ``_HOLD_DARKS`` darks
     or ``_HOLD_CHUNKS`` chunks, and after the last chunk.
     """
-    ent = _entries(cfg)
-    pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
-    # the dead bucket's row clicks nowhere and tallies in cell 0, which no count reads
-    mask, cell = np.append(ent.mask, 0), np.append(ent.cell, np.zeros_like(ent.cell[0]))
+    prob, no_dark, mask, cell = _weighted_merge(cfg)
+    pvals = np.append(prob, max(0.0, 1.0 - prob.sum()))
     y0 = float(cfg.y0)
     counts = np.zeros(pvals.size, dtype=np.int64)  # no-dark trials per entry, dead bucket last
     cells = np.zeros(12, dtype=np.int64)  # trials per tally cell
@@ -496,7 +487,7 @@ def run_trials(cfg: TrialConfig) -> Tally:
             cells += moved
             counts -= left
         lives, positions, darks, held_darks = [], [], [], 0
-    np.add.at(cells, ent.no_dark, counts[:-1])
+    np.add.at(cells, no_dark, counts[:-1])
     case_acc = cells[2:7] + cells[7:]
     return Tally(
         cfg,

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -240,11 +241,27 @@ def _class_rows(basis, delta):
     return cls, np.array([float(p) for p in prob[take].tolist()]), mask[take], free[take]
 
 
+@dataclass(frozen=True)
+class _ReferenceEntries:
+    """The entries of one configuration with a non-zero probability, each
+    entry's photon slot mask, accepted label bits, error flag, surviving
+    photons, tally cell per label bits hit (``cell[i, h]``) and no-dark cell."""
+
+    prob: np.ndarray
+    mask: np.ndarray
+    accepts: np.ndarray
+    error: np.ndarray
+    photons: np.ndarray
+    cell: np.ndarray
+    no_dark: np.ndarray
+
+
 def _reference_entries(cfg):
     """The entry oracle: the sampler's entries merged afresh on every call,
-    from the live table laid out per input class, with their tally cells,
-    which ``protocol._entries`` must equal field for field from its cached
-    merge."""
+    from the live table laid out per input class, weighted, with every entry
+    of probability 0 dropped, and their tally cells.  The sampler's cached
+    merge (``protocol._entry_merge``), weighted, must equal it on its
+    non-zero entries."""
     label_bit = _live_masks()[0]
     subsets = np.arange(16)
     weight = np.full(16, 1 / 16)
@@ -270,7 +287,7 @@ def _reference_entries(cfg):
     accepted = (accepts[:, None] & hits) != 0
     cell = np.where(accepted, (2 + photons + 5 * error)[:, None], hits != 0).ravel()
     no_dark = cell[np.arange(prob.size) * hits.size + label_bit[mask]]
-    return protocol._Entries(prob, mask, accepts, error, photons, cell.reshape(-1, hits.size), no_dark)
+    return _ReferenceEntries(prob, mask, accepts, error, photons, cell.reshape(-1, hits.size), no_dark)
 
 
 @pytest.fixture(scope="session")
@@ -279,11 +296,12 @@ def reference_entries():
 
 
 def _reference_run_trials(cfg):
-    """The sampler oracle: the chunk loop that expands each chunk's entry
-    counts into one element per trial and ORs the darks into their click
-    masks, which ``protocol.run_trials`` must equal tally for tally."""
+    """The sampler oracle: the chunk loop that draws over the entry oracle's
+    non-zero entries, expands each chunk's entry counts into one element per
+    trial and ORs the darks into their click masks, which
+    ``protocol.run_trials`` must equal tally for tally."""
     label_bit = _live_masks()[0]
-    ent = protocol._entries(cfg)
+    ent = _reference_entries(cfg)
     pvals = np.append(ent.prob, max(0.0, 1.0 - ent.prob.sum()))
     index = np.arange(ent.prob.size, dtype=np.intp)
     y0 = float(cfg.y0)

@@ -295,18 +295,22 @@ def test_mc_paper_mode_excludes_bunched_events():
 def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
     # accepted gain of the sampler's own entry table: an entry lands on an
     # accepted pattern P containing its photon mask when darks fill P's other
-    # slots and none of the 12 slots outside P fires
+    # slots and none of the 12 slots outside P fires; its cell where the
+    # clicks hit label L says whether L accepts it (2 and up) and whether it
+    # errs (7 and up)
     cfg = TrialConfig(etas=etas, y0=y0, mode=mode)
-    ent = protocol._entries(cfg)
-    photons_in = np.array([int(m).bit_count() for m in ent.mask])
+    prob, _, mask, cell = protocol._weighted_merge(cfg)
+    mask, cell = mask[:-1], cell.reshape(mask.size, -1)[:-1]  # the dead bucket's row is last
+    photons_in = np.array([int(m).bit_count() for m in mask])
     gain = err = 0.0
     for label, pats in table.patterns.items():
+        hit = cell[:, 1 << analyzer._LABEL_TO_IDX[label]]
         for pat in pats:
             pmask = analyzer.slot_mask(pat)
-            inside = ((ent.mask | pmask) == pmask) & ((ent.accepts >> analyzer._LABEL_TO_IDX[label]) & 1 == 1)
-            w = ent.prob[inside] * y0 ** (4 - photons_in[inside]) * (1 - y0) ** 12
+            inside = ((mask | pmask) == pmask) & (hit >= 2)
+            w = prob[inside] * y0 ** (4 - photons_in[inside]) * (1 - y0) ** 12
             gain += w.sum()
-            err += w[ent.error[inside]].sum()
+            err += w[hit[inside] >= 7].sum()
     exact = exact_enumerate(
         TrialConfig(etas=tuple(Fraction(e) for e in etas), y0=Fraction(y0), mode=mode)
     )
@@ -316,27 +320,26 @@ def test_sampler_entries_equal_exact_enumeration(table, mode, etas, y0):
 
 def test_cached_entries_equal_a_fresh_merge(reference_entries):
     # the merge is cached per table and sift, the weights are not: every sift
-    # of both bases, with etas of 0 and 1 that empty whole entries
+    # of both bases, with etas of 0 and 1 that empty whole entries, which
+    # stay in the cached table with probability 0
     rng = random.Random(14)
-    emptied = 0
     for basis, mode, announcers in product("zx", ("paper", "physical"), permutations(range(4), 2)):
-        sift = (0.0 if basis == "x" else None, basis, mode, announcers)  # delta 0 shares the X table
         for _ in range(4):
             etas = tuple(rng.choice((0, 0.0145, 0.5, 1)) for _ in range(4))
             cfg = TrialConfig(etas, mode=mode, basis=basis, announcers=announcers)
             want = reference_entries(cfg)
-            got = protocol._entries(cfg)
-            for field in dataclasses.fields(want):
-                a, b = getattr(got, field.name), getattr(want, field.name)
+            prob, no_dark, mask, cell = protocol._weighted_merge(cfg)
+            cell = cell.reshape(mask.size, -1)
+            assert mask[-1] == 0 and not cell[-1].any(), cfg  # the dead bucket clicks nowhere, tallies in cell 0
+            live = prob != 0
+            for name, got in (("prob", prob), ("mask", mask[:-1]), ("cell", cell[:-1]), ("no_dark", no_dark)):
                 # the cached tally cells are int8; every other field keeps its dtype
-                assert field.name in ("cell", "no_dark") or a.dtype == b.dtype, (cfg, field.name)
-                assert np.array_equal(a, b), (cfg, field.name)
-            emptied += got.prob.size < protocol._entry_merge(*sift)[3][0].size
+                assert name in ("cell", "no_dark") or got.dtype == getattr(want, name).dtype, (cfg, name)
+                assert np.array_equal(got[live], getattr(want, name)), (cfg, name)
             before = protocol._entry_merge.cache_info()
-            protocol._entries(cfg)
+            run_trials(dataclasses.replace(cfg, trials=1))  # a run reads the merge just made
             after = protocol._entry_merge.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses), cfg
-    assert emptied > 0
 
 
 def test_mc_dense_dark_counts():
@@ -415,17 +418,17 @@ def cleared_caches():
 def test_x_caches_hold_one_delay(monkeypatch, cleared_caches):
     # an X table stands in for itself with the cached Z one
     monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: analyzer._z_outcomes())
-    sift = ("x", "physical", (0, 1))
-    z_merge = protocol._entry_merge(None, "z", "physical", (0, 1))
+    sift = ("physical", (0, 1))
+    z_merge = protocol._entry_merge(None, *sift)
     for delta in (0.1, 0.2, 0.3):
         protocol._entry_merge(delta, *sift)  # a sweep: each delay's table replaces the last
     assert analyzer._x_outcomes.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, currsize
     assert protocol._entry_merge.cache_info()[1:] == (4, 4, 4)
     protocol._entry_merge(0.3, *sift)  # a warm run reads its merge, not the table
-    protocol._entry_merge(0.3, "x", "paper", (0, 1))  # a new sift reads the table it has
+    protocol._entry_merge(0.3, "paper", (0, 1))  # a new sift reads the table it has
     assert analyzer._x_outcomes.cache_info()[:2] == (1, 3)  # hits, misses
     assert protocol._entry_merge.cache_info()[:2] == (1, 5)
-    assert protocol._entry_merge(None, "z", "physical", (0, 1)) is not z_merge  # evicted, merged again
+    assert protocol._entry_merge(None, *sift) is not z_merge  # evicted, merged again
     assert protocol._entry_merge.cache_info().misses == 6
 
 
