@@ -15,12 +15,7 @@ The relay's tables are what the W analyzer sees of the parties' surviving
 photons: the live outcomes of each survivor configuration, exact in Z and at
 one delay in X.  An outcome whose slot mask lies outside every detection
 pattern is never announced, since dark counts only add clicks, so its rows
-are dropped before any merge.  Each cached step reads the one before it:
-
-    w_analyzer -> composed_map -> _derive_table -> _click_lookup
-    -> _product_rows -> _z_outcomes / _x_outcomes
-
-and ``protocol._plan`` and ``protocol._entry_merge`` read the two tables.
+are dropped before any merge.  The one ``relay()`` holds every table.
 """
 
 from __future__ import annotations
@@ -176,29 +171,12 @@ def derive_detection_table(cache: bool = True) -> DetectionTable:
 
     Coincidences are monomials with exactly one photon in each of s, u, v, w;
     a pattern is unique when its symbolic amplitude is nonzero for exactly one
-    of the 16 inputs.  The result is memoized; pass cache=False to force a
-    fresh derivation, which then becomes the memo.
+    of the 16 inputs.  The result is the relay's table; pass cache=False for
+    a fresh relay, whose derivation then serves every table built after it.
     """
     if not cache:
-        _derive_table.cache_clear()
-    return _derive_table()
-
-
-@functools.cache
-def _derive_table() -> DetectionTable:
-    # each label keeps only its coincidence terms, so one whole propagated state is alive at a time
-    outputs = {
-        label: FockState({mon: amp for mon, amp in propagate_w_state(label).terms() if _is_coincidence(mon)})
-        for label in range(16)
-    }
-    support = {label: {mon for mon, _ in state.terms()} for label, state in outputs.items()}
-    counts = Counter(mon for pats in support.values() for mon in pats)
-    unique = {label: tuple(sorted(m for m in pats if counts[m] == 1)) for label, pats in support.items()}
-    patterns = {label: pats for label, pats in unique.items() if pats}
-    per_pattern = {label: tuple(map(outputs[label].pattern_probability, pats)) for label, pats in patterns.items()}
-    probs = {label: sum(ps, Fraction(0)) for label, ps in per_pattern.items()}
-    overall = sum(probs.values(), Fraction(0)) / 16
-    return DetectionTable(patterns, per_pattern, probs, overall)
+        relay.cache_clear()
+    return relay().table
 
 
 def bell_success_rates() -> dict[str, Fraction]:
@@ -281,45 +259,9 @@ def _product_monomial(survivors: tuple[tuple[int, int], ...]) -> Monomial:
     return monomial(*(Mode(INPUT_MODES[party], bit) for party, bit in survivors))
 
 
-@functools.cache
-def _click_lookup() -> tuple[np.ndarray, np.ndarray]:
-    """Per click mask: ``1 << index`` of the label whose pattern it is (0 if
-    none), and whether it lies inside some pattern, the empty mask included."""
-    label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
-    live = np.zeros(1 << N_SLOTS, dtype=bool)
-    for label, pats in derive_detection_table().patterns.items():
-        for pattern in pats:
-            label_bit[slot_mask(pattern)] = 1 << _LABEL_TO_IDX[label]
-            # every submask of the pattern, the empty one included
-            live[[slot_mask(compress(pattern, keep)) for keep in product((0, 1), repeat=len(pattern))]] = True
-    return label_bit, live
-
-
-@functools.cache
-def _product_rows() -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
-    """The composed map's image of every survivor configuration's product
-    monomial, the vacuum included, as kernel rows kept apart per configuration,
-    with the rows of the outputs outside every detection pattern dropped.
-
-    One kernel run for all 81 Z configurations; every k-photon block lies at
-    the same half-power.  Liveness depends on an output's slots alone, so
-    every row of an output is kept or dropped with it, and so is every X
-    output merged from the blocks.
-    """
-    configs = {_product_monomial(c): c for c in _CONFIGS}
-    state = FockState(dict.fromkeys(configs, Amplitude.one()))
-    slots, rows = state.image_rows(w_analyzer().composed_map)
-    bits, live = _slot_bits(slots), _click_lookup()[1]
-    out = {}
-    for mon, (codes, ks, nums, h) in rows.items():
-        keep = live[np.bitwise_or.reduce(bits[codes], axis=1)]
-        out[configs[mon]] = (codes[keep], ks[keep], nums[keep], h)
-    return slots, out
-
-
 def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[list, tuple]]:
     """The outputs of survivor configurations from their ``rows``, kernel
-    blocks per configuration as ``_product_rows`` keeps them: Z basis for
+    blocks per configuration as ``Relay.product_rows`` keeps them: Z basis for
     ``delta=None``, X at delta otherwise.
 
     The analyzer is linear.  A Z configuration is its own product monomial.
@@ -334,7 +276,7 @@ def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[li
     and one ``_row_outcomes`` call evaluates them.  Yields each pass's
     configurations and outputs.
     """
-    slots, _ = _product_rows()
+    slots = relay().product_rows[0]
     for k, run in groupby(configs, key=len):
         run = list(run)
         for start in range(0, len(run), _PASS):
@@ -464,7 +406,7 @@ def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, n
     the sampler reads.
     """
     counts, prob, mask, free = [], [], [], []
-    for part, (src, _, *columns) in _passes(_product_rows()[1], _CONFIGS, delta):
+    for part, (src, _, *columns) in _passes(relay().product_rows[1], _CONFIGS, delta):
         counts += np.bincount(src, minlength=len(part)).tolist()  # the passes keep _CONFIGS' order
         for column, values in zip((prob, mask, free), columns):
             column.append(values)
@@ -473,10 +415,75 @@ def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, n
     return span, prob, mask, free, prob.astype(float)
 
 
-# the analyzer is fixed: the Z table holds the 81 survivor configurations once, exact
-_z_outcomes = functools.cache(functools.partial(_live_outcomes, None))
+class Relay:
+    """The relay's tables, each built when first read, from the one before it:
+
+        w_analyzer -> composed_map -> table -> click_lookup -> product_rows
+        -> z_outcomes / x_outcomes(delta) -> plans / merges
+
+    ``x`` holds the last delay a run used and its X table; ``plans`` one plan per
+    sorted announcer pair (at most 6); ``merges`` one entry table per delay and
+    sift (at most 4, the oldest dropped first).  ``relay.cache_clear()`` drops all.
+    """
+
+    def __init__(self):
+        self.x, self.plans, self.merges = None, {}, {}
+
+    @functools.cached_property
+    def table(self) -> DetectionTable:
+        # each label keeps only its coincidence terms, so one whole propagated state is alive at a time
+        outputs = {
+            label: FockState({mon: amp for mon, amp in propagate_w_state(label).terms() if _is_coincidence(mon)})
+            for label in range(16)
+        }
+        support = {label: {mon for mon, _ in state.terms()} for label, state in outputs.items()}
+        counts = Counter(mon for pats in support.values() for mon in pats)
+        unique = {label: tuple(sorted(m for m in pats if counts[m] == 1)) for label, pats in support.items()}
+        patterns = {label: pats for label, pats in unique.items() if pats}
+        per_pattern = {label: tuple(map(outputs[label].pattern_probability, pats)) for label, pats in patterns.items()}
+        probs = {label: sum(ps, Fraction(0)) for label, ps in per_pattern.items()}
+        overall = sum(probs.values(), Fraction(0)) / 16
+        return DetectionTable(patterns, per_pattern, probs, overall)
+
+    @functools.cached_property
+    def click_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per click mask: ``1 << index`` of the label whose pattern it is (0 if
+        none), and whether it lies inside some pattern, the empty mask included."""
+        label_bit = np.zeros(1 << N_SLOTS, dtype=np.uint8)
+        live = np.zeros(1 << N_SLOTS, dtype=bool)
+        for label, pats in self.table.patterns.items():
+            for pattern in pats:
+                label_bit[slot_mask(pattern)] = 1 << _LABEL_TO_IDX[label]
+                # every submask of the pattern, the empty one included
+                live[[slot_mask(compress(pattern, keep)) for keep in product((0, 1), repeat=len(pattern))]] = True
+        return label_bit, live
+
+    @functools.cached_property
+    def product_rows(self) -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
+        """The composed map's image of every survivor configuration's product
+        monomial, the vacuum included, in one kernel run: kernel rows kept
+        apart per configuration, every k-photon block at the same half-power,
+        with the rows of the outputs outside every detection pattern dropped.
+        Liveness depends on an output's slots alone, so every row of an output
+        is kept or dropped with it, and so is every X output merged from them.
+        """
+        configs = {_product_monomial(c): c for c in _CONFIGS}
+        state = FockState(dict.fromkeys(configs, Amplitude.one()))
+        slots, rows = state.image_rows(w_analyzer().composed_map)
+        bits, live = _slot_bits(slots), self.click_lookup[1]
+        out = {}
+        for mon, (codes, ks, nums, h) in rows.items():
+            keep = live[np.bitwise_or.reduce(bits[codes], axis=1)]
+            out[configs[mon]] = (codes[keep], ks[keep], nums[keep], h)
+        return slots, out
+
+    @functools.cached_property
+    def z_outcomes(self) -> tuple:
+        return _live_outcomes(None)  # the analyzer is fixed: the 81 configurations once, exact
+
+    def x_outcomes(self, delta: float) -> tuple:
+        self.x = self.x if self.x and self.x[0] == delta else (delta, _live_outcomes(delta))
+        return self.x[1]
 
 
-@functools.lru_cache(maxsize=1)  # the X table of the last delay a run used: a sweep builds each once
-def _x_outcomes(delta: float) -> tuple:
-    return _live_outcomes(delta)
+relay = functools.cache(Relay)

@@ -14,10 +14,9 @@ Two accounting modes:
 * ``physical`` - raw threshold semantics: a slot clicks when at least one
                  photon or dark event lands in it; bunching is invisible.
 
-Both read the analyzer's tables of live outcomes (``wqkd.analyzer``): the
-enumerator walks the Z table once per announcer pair, the sampler merges a
-table once per sift into its one entry table, dead bucket included
-(``_entry_merge``).  A call only weights the entries: one that a
+Both read the live outcome tables of ``analyzer.relay()``, which also keeps
+the enumerator's plan per announcer pair and the sampler's entry table per
+sift, dead bucket included.  A call only weights the entries: one that a
 transmittance of 0 or 1 empties stays in the draw and gets no trial.
 
 The Monte-Carlo sampler realizes the same model with counter-based randomness:
@@ -36,7 +35,6 @@ clicks.  A chunk at a dense dark rate fills the hold alone.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,10 +46,8 @@ from .analyzer import (
     DISTINGUISHABLE_LABELS,
     N_SLOTS,
     _LABEL_TO_IDX,
-    _click_lookup,
-    _x_outcomes,
-    _z_outcomes,
     derive_detection_table,
+    relay,
     slot_mask,
 )
 from .keyrate import left_sum
@@ -169,7 +165,7 @@ def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[Fraction, t
     walk order.
     """
     patterns = derive_detection_table().patterns
-    span, probs, masks, frees, floats = _z_outcomes()
+    span, probs, masks, frees, floats = relay().z_outcomes
     own = span[survivors]  # its live outcomes: no other one lies inside a pattern
     unit = math.lcm(*(p.denominator for p in probs[own]))  # exact sums in integers
     rows = [
@@ -231,9 +227,10 @@ class _Plan:
         return sums[self.column].tolist()
 
 
-@functools.cache  # the Z sift is symmetric in the announcers: at most 6 sorted pairs
 def _plan(announcers: tuple[int, int]) -> _Plan:
-    """The sift and the click terms of one announcer pair, walked once."""
+    """The sift and the click terms of one sorted announcer pair, walked once into the relay's plans."""
+    if plan := relay().plans.get(announcers):
+        return plan
     keys: dict[tuple, int] = {}
     entries = []
     for bits in range(16):
@@ -253,7 +250,8 @@ def _plan(announcers: tuple[int, int]) -> _Plan:
         probs[: len(p), j] = p
         missing[: len(m), j] = m
     paper = tuple((float(p), 4 - len(survivors)) for p, (survivors, _) in zip(papers, keys))
-    return _Plan(tuple(entries), tuple(zip(papers, coeffs)), paper, np.array(column), probs, missing)
+    plan = _Plan(tuple(entries), tuple(zip(papers, coeffs)), paper, np.array(column), probs, missing)
+    return relay().plans.setdefault(announcers, plan)
 
 
 def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
@@ -352,7 +350,6 @@ class Tally:
 _PHOTONS = np.array([bin(surv).count("1") for surv in range(16)], dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=4)  # the merge depends on the table and the sift only, so warm calls reuse it
 def _entry_merge(delta: float | None, mode: str, announcers: tuple[int, int]) -> tuple:
     """The sampler's entry table for one sift, before weights: the Z table's
     for ``delta=None``, else the X table's at delta.
@@ -367,10 +364,13 @@ def _entry_merge(delta: float | None, mode: str, announcers: tuple[int, int]) ->
     ``no_dark[i]`` is its cell when no dark click lands.  Returns the
     survival subset and probability of each row the mode keeps, the entry it
     joins, ``no_dark``, and ``mask`` and the flat ``cell`` with the dead
-    bucket's row last.
+    bucket's row last.  The relay keeps it: a hit reads no table.
     """
+    merges, key = relay().merges, (delta, mode, announcers)
+    if key in merges:
+        return merges[key]
     basis = "z" if delta is None else "x"
-    span, _, mask, free, prob = _z_outcomes() if delta is None else _x_outcomes(delta)
+    span, _, mask, free, prob = relay().z_outcomes if delta is None else relay().x_outcomes(delta)
     spans = [span[survivors] for survivors in _SURVIVORS]
     take = np.concatenate([np.arange(s.start, s.stop) for s in spans])
     cls = np.repeat(np.arange(256), [s.stop - s.start for s in spans])
@@ -389,12 +389,14 @@ def _entry_merge(delta: float | None, mode: str, announcers: tuple[int, int]) ->
     accepts, error, photons = (kind >> 4) & 15, (kind >> 3) & 1, kind & 7
     hits = np.arange(1 << len(DISTINGUISHABLE_LABELS))  # every label_bit value
     cell = np.where((accepts[:, None] & hits) != 0, (2 + photons + 5 * error)[:, None], hits != 0).astype(np.int8)
-    no_dark = cell[np.arange(kind.size), _click_lookup()[0][mask]]
+    no_dark = cell[np.arange(kind.size), relay().click_lookup[0][mask]]
     # the dead bucket's row clicks nowhere and tallies in cell 0, which no count
     # reads; a uint32 0 keeps mask uint32 (a plain 0 would promote it to int64)
     mask, cell = np.append(mask, np.uint32(0)), np.append(cell, np.zeros_like(cell[0]))
+    if len(merges) == 4:  # the oldest goes
+        del merges[next(iter(merges))]
     # kept as long as the rows are, so the small-valued columns are stored compactly
-    return surv.astype(np.uint8), prob[take], inverse, no_dark, mask, cell
+    return merges.setdefault(key, (surv.astype(np.uint8), prob[take], inverse, no_dark, mask, cell))
 
 
 def _weighted_merge(cfg: TrialConfig) -> tuple:
@@ -437,7 +439,7 @@ def _dark_moves(held: np.ndarray, positions: list, darks: list, mask, cell) -> t
     bucket too.  The last chunk's dead trials end the hold, so their darks
     are cut before any work: all the dead darks of a chunk held alone.
     """
-    label_bit = _click_lookup()[0]
+    label_bit = relay().click_lookup[0]
     ends, width = np.cumsum(held, dtype=np.int32), mask.size
     hit, dark = _dark_hits(positions, darks, ends[-1] - held[-1])
     if hit.size < ends.size:  # the fewer sorted values are searched among the more

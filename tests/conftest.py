@@ -80,11 +80,11 @@ def w_state_chains():
 def _full_product_rows():
     """The kernel rows of every survivor configuration, dead outputs
     included: one ``image_rows`` call over the 81 product monomials that
-    ``analyzer._product_rows`` propagates, on the same slot list."""
+    ``Relay.product_rows`` propagates, on the same slot list."""
     configs = {analyzer._product_monomial(c): c for c in analyzer._CONFIGS}
     state = FockState(dict.fromkeys(configs, Amplitude.one()))
     slots, rows = state.image_rows(w_analyzer().composed_map)
-    assert slots == analyzer._product_rows()[0]
+    assert slots == analyzer.relay().product_rows[0]
     return {configs[mon]: block for mon, block in rows.items()}
 
 
@@ -93,7 +93,7 @@ def _outcomes(survivors, delta):
     one configuration, dead outputs included, from a one-configuration pass
     of the package over the unfiltered product rows: Z basis for
     ``delta=None``, X at delta otherwise."""
-    slots = analyzer._product_rows()[0]
+    slots = analyzer.relay().product_rows[0]
     ((_, (_, codes, prob, mask, free)),) = analyzer._passes(_full_product_rows(), [survivors], delta)
     modes = np.fromiter(slots, object, len(slots))
     mons = zip(*(modes[col] for col in codes.T)) if codes.shape[1] else [()] * len(codes)
@@ -235,7 +235,7 @@ def _class_rows(basis, delta):
     """The live table of a basis and delay laid out one input class
     (bits * 16 + survival subset) at a time: each class's row numbers, then
     the class, float probability, slot mask and bunching flag of each row."""
-    span, prob, mask, free, _ = analyzer._z_outcomes() if basis == "z" else analyzer._x_outcomes(delta)
+    span, prob, mask, free, _ = analyzer.relay().z_outcomes if basis == "z" else analyzer.relay().x_outcomes(delta)
     rows = [(cid, i) for cid, c in enumerate(protocol._SURVIVORS) for i in range(span[c].start, span[c].stop)]
     cls, take = np.array(rows).T
     return cls, np.array([float(p) for p in prob[take].tolist()]), mask[take], free[take]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from wqkd import cli
+from wqkd.analyzer import reference_table
 from wqkd.cli import main
 
 
@@ -172,7 +173,7 @@ def test_simulate_x_delay_whose_phase_overflows_exits_1(capsys, delta, power):
 
 
 @pytest.mark.parametrize("trials", ["10000000001", "1000000000000000000000"])
-def test_simulate_above_the_trial_cap_exits_1_without_a_trial(capsys, monkeypatch, trials):
+def test_simulate_beyond_the_work_budget_at_default_y0_exits_1_without_a_trial(capsys, monkeypatch, trials):
     # at the default y0 the work budget is 10**10 trials, about a minute warm; a larger count never starts
     monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
     for basis in ("z", "x"):
@@ -181,7 +182,7 @@ def test_simulate_above_the_trial_cap_exits_1_without_a_trial(capsys, monkeypatc
         assert err == f"error: trials must lie in [1, 10000000000] at y0=6.02e-06, got {trials}\n"
 
 
-def test_simulate_above_the_dark_click_cap_exits_1_without_a_trial(capsys, monkeypatch):
+def test_simulate_beyond_the_work_budget_at_y0_0_99_exits_1_without_a_trial(capsys, monkeypatch):
     # each dark click is resolved on its own and costs 16 trials of the budget:
     # 10**10 trials at y0 = 0.99 would resolve 1.6 * 10**11 of them, about two hours
     monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
@@ -397,6 +398,20 @@ def test_simulate_stdout_is_pinned(capsys, flags, expected):
     code, out, err = run(capsys, "simulate", *flags)
     assert (code, err) == (0, "")
     assert out == expected
+
+
+# exit code, sha256 of stdout and of stderr, argv: every subcommand and layout
+# at its default and one other point, and the exit-1, -2 and -3 runs
+_CORPUS = [line.split() for line in Path(__file__).with_name("cli_corpus.txt").read_text().splitlines()]
+_CORPUS = [(int(code), out, err, argv) for code, out, err, *argv in _CORPUS if code != "#"]
+
+
+@pytest.mark.parametrize("code, out, err, argv", _CORPUS, ids=["-".join(a.lstrip("-") for a in r[3]) for r in _CORPUS])
+def test_cli_output_matches_the_corpus(capsys, tmp_path, code, out, err, argv):
+    rows = reference_table().rows()
+    (tmp_path / "golden.csv").write_text("".join(f"{s},{p},{float(prob):.10f}\n" for s, p, prob in rows))
+    got, *streams = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert [got, *(hashlib.sha256(s.encode()).hexdigest() for s in streams)] == [code, out, err]
 
 
 @pytest.mark.parametrize("mode", ["paper", "physical"])
@@ -643,7 +658,7 @@ def test_main_reuses_one_parser(capsys):
 
 _WORK = """
 import contextlib, io, json, sys
-from wqkd import analyzer, cli, fock, protocol, verify
+from wqkd import analyzer, cli, fock, verify
 
 calls = {"kernel": 0, "w": 0}
 
@@ -661,23 +676,17 @@ fock._propagate = counted("kernel", fock._propagate)
 analyzer.propagate_w_state = verify.propagate_w_state = counted("w", analyzer.propagate_w_state)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-caches = (
-    analyzer._derive_table,
-    analyzer._product_rows,
-    analyzer._z_outcomes,
-    analyzer._x_outcomes,
-    protocol._plan,
-    protocol._entry_merge,
-    analyzer._click_lookup,
-)
-print(json.dumps([code, calls["kernel"], calls["w"], *(c.cache_info().misses for c in caches)]))
+relay = analyzer.relay()
+built = [name in vars(relay) for name in ("table", "product_rows", "z_outcomes")]
+print(json.dumps([code, calls["kernel"], calls["w"], *built, relay.x is not None, len(relay.plans), len(relay.merges),
+                  "click_lookup" in vars(relay)]))
 """
 
 # per command: exit code, kernel passes (fock._propagate calls), W propagations,
-# then the misses of every cached step of the chain that the analyzer's
-# docstring states: analyzer's _derive_table, _product_rows, _z_outcomes and
-# _x_outcomes, protocol's _plan and _entry_merge, and analyzer's _click_lookup;
-# the table is 16 passes, the product-row batch 21
+# then what the relay holds of the chain its docstring states: the table, the
+# product rows, the Z table and an X table, each 1 (true) once built, the
+# number of plans and of merges, and the click lookup; the table is 16
+# passes, the product-row batch 21.  An X fill that raises keeps nothing
 _WORK_PINS = {
     "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     "keyrate": [0, 16, 16, 1, 0, 0, 0, 0, 0, 0],
@@ -686,7 +695,7 @@ _WORK_PINS = {
     "enumerate": [0, 37, 16, 1, 1, 1, 0, 1, 0, 1],
     "simulate --trials 1000": [0, 37, 16, 1, 1, 1, 0, 1, 1, 1],
     "simulate --basis x --delta 0.3927 --trials 1000": [0, 37, 16, 1, 1, 0, 1, 0, 1, 1],
-    "simulate --basis x --delta=1e308 --trials 1000": [1, 37, 16, 1, 1, 0, 1, 0, 1, 1],
+    "simulate --basis x --delta=1e308 --trials 1000": [1, 37, 16, 1, 1, 0, 0, 0, 0, 1],
 }
 
 

@@ -336,10 +336,10 @@ def test_cached_entries_equal_a_fresh_merge(reference_entries):
                 # the cached tally cells are int8; every other field keeps its dtype
                 assert name in ("cell", "no_dark") or got.dtype == getattr(want, name).dtype, (cfg, name)
                 assert np.array_equal(got[live], getattr(want, name)), (cfg, name)
-            before = protocol._entry_merge.cache_info()
+            merges, key = analyzer.relay().merges, (None if basis == "z" else cfg.delta, mode, announcers)
+            merge, keys = merges[key], list(merges)
             run_trials(dataclasses.replace(cfg, trials=1))  # a run reads the merge just made
-            after = protocol._entry_merge.cache_info()
-            assert (after.hits, after.misses) == (before.hits + 1, before.misses), cfg
+            assert list(merges) == keys and merges[key] is merge, cfg
 
 
 def test_mc_dense_dark_counts():
@@ -406,63 +406,75 @@ def test_sampler_equals_per_trial_reference_across_holds(reference_run_trials, b
 
 
 @pytest.fixture
-def cleared_caches():
-    analyzer._x_outcomes.cache_clear()
-    protocol._entry_merge.cache_clear()
-    yield
-    # stand-in tables must not reach the next test
-    analyzer._x_outcomes.cache_clear()
-    protocol._entry_merge.cache_clear()
+def fresh_relay():
+    analyzer.relay.cache_clear()
+    relay = analyzer.relay()
+    relay.z_outcomes  # built before a stand-in for _live_outcomes can reach it
+    yield relay
+    analyzer.relay.cache_clear()  # stand-in tables must not reach the next test
 
 
-def test_x_caches_hold_one_delay(monkeypatch, cleared_caches):
-    # an X table stands in for itself with the cached Z one
-    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: analyzer._z_outcomes())
+def test_x_caches_hold_one_delay(monkeypatch, fresh_relay):
+    # an X table stands in for itself with the Z one, and each fill is logged
+    fills = []
+    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: fills.append(delta) or fresh_relay.z_outcomes)
     sift = ("physical", (0, 1))
     z_merge = protocol._entry_merge(None, *sift)
     for delta in (0.1, 0.2, 0.3):
         protocol._entry_merge(delta, *sift)  # a sweep: each delay's table replaces the last
-    assert analyzer._x_outcomes.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, currsize
-    assert protocol._entry_merge.cache_info()[1:] == (4, 4, 4)
-    protocol._entry_merge(0.3, *sift)  # a warm run reads its merge, not the table
-    protocol._entry_merge(0.3, "paper", (0, 1))  # a new sift reads the table it has
-    assert analyzer._x_outcomes.cache_info()[:2] == (1, 3)  # hits, misses
-    assert protocol._entry_merge.cache_info()[:2] == (1, 5)
-    assert protocol._entry_merge(None, *sift) is not z_merge  # evicted, merged again
-    assert protocol._entry_merge.cache_info().misses == 6
+    assert (fills, fresh_relay.x[0]) == ([0.1, 0.2, 0.3], 0.3)
+    protocol._entry_merge(0.1, *sift)  # a warm run at an earlier delay reads its merge, not a table
+    protocol._entry_merge(0.3, "paper", (0, 1))  # a new sift reads the table it has, and the oldest merge goes
+    assert fills == [0.1, 0.2, 0.3]
+    assert list(fresh_relay.merges) == [(0.1, *sift), (0.2, *sift), (0.3, *sift), (0.3, "paper", (0, 1))]
+    assert protocol._entry_merge(None, *sift) is not z_merge and len(fresh_relay.merges) == 4  # merged again
 
 
-def test_z_and_x_rows_never_share_a_key(monkeypatch, cleared_caches):
+def test_z_and_x_rows_never_share_a_key(monkeypatch, fresh_relay):
     # the real delta-0 X table is computed once here, and the sweep's other
     # delay only has to push it out
     real = functools.cache(analyzer._live_outcomes)
-    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: real(delta) if delta == 0 else analyzer._z_outcomes())
+    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: real(delta) if delta == 0 else fresh_relay.z_outcomes)
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-3, trials=200_000, seed=17)
     x = TrialConfig(etas=(0.8,) * 4, y0=1e-4, basis="x", delta=0.0, trials=200_000, seed=18)
     assert z.delta == x.delta == 0.0
     x_cold = run_trials(x)
-    protocol._entry_merge.cache_clear()
+    fresh_relay.x, fresh_relay.merges = None, {}
     z_tally = run_trials(z)
+    assert fresh_relay.x is None  # the Z run read no X table
     assert run_trials(x) == x_cold
-    assert protocol._entry_merge.cache_info()[:2] == (0, 2)  # hits, misses: no X run got the Z merge
-    assert analyzer._x_outcomes.cache_info()[:2] == (1, 1)  # the Z run read no X table
+    assert list(fresh_relay.merges) == [(None, "physical", (0, 1)), (0.0, "physical", (0, 1))]  # no X run got the Z merge
     run_trials(dataclasses.replace(x, delta=0.3))
     assert run_trials(z) == z_tally
     assert run_trials(x) == x_cold  # its merge outlives the delta-0 table
-    assert protocol._entry_merge.cache_info()[:3] == (2, 3, 4)  # hits, misses, maxsize
+    assert fresh_relay.x[0] == 0.3 and len(fresh_relay.merges) == 3
 
 
-def test_the_z_table_is_built_once_per_process():
-    # an X sweep pushes the Z merge out of its cache, never the Z table
+def test_the_z_table_is_built_once_per_process(monkeypatch):
+    # an X sweep pushes the Z merge out of the relay, never the Z table
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-4, trials=1000, seed=5)
     run_trials(z)
     for delta, mode in product((0.1, 0.2, 0.3), ("paper", "physical")):
         run_trials(dataclasses.replace(z, mode=mode, basis="x", delta=delta))
-    before = analyzer._z_outcomes.cache_info()
-    run_trials(z)
-    after = analyzer._z_outcomes.cache_info()
-    assert after.misses == 1
-    assert after.hits == before.hits + 1  # the Z merge was rebuilt from the cached table
+    assert (None, z.mode, z.announcers) not in analyzer.relay().merges
+    monkeypatch.setattr(analyzer, "_live_outcomes", lambda delta: pytest.fail("a table was built"))
+    run_trials(z)  # the Z merge is rebuilt from the relay's table
+
+
+def test_a_fresh_derivation_serves_none_of_the_old_tables():
+    cfg = TrialConfig(trials=1000)
+    want = exact_enumerate(cfg), run_trials(cfg)
+    old = analyzer.relay()
+    table = derive_detection_table(cache=False)
+    new = analyzer.relay()
+    assert new is not old and new.table is table and table == old.table
+    assert (new.x, new.plans, new.merges) == (None, {}, {})
+    assert (exact_enumerate(cfg), run_trials(cfg)) == want
+    _assert_same_table(new.z_outcomes, old.z_outcomes, None)
+    for name in ("table", "click_lookup", "product_rows", "z_outcomes"):
+        assert getattr(new, name) is not getattr(old, name), name
+    key = (None, cfg.mode, cfg.announcers)
+    assert new.plans[cfg.announcers] is not old.plans[cfg.announcers] and new.merges[key] is not old.merges[key]
 
 
 def test_x_basis_smoke():
@@ -507,7 +519,7 @@ def test_x_outcomes_equal_amplitude_reference_bit_for_bit(reference_x_outcomes, 
 
 
 def test_z_live_table_equals_the_reference_lists(reference_z_outcomes, reference_live_table):
-    _assert_same_table(analyzer._z_outcomes(), reference_live_table(reference_z_outcomes, None), None)
+    _assert_same_table(analyzer.relay().z_outcomes, reference_live_table(reference_z_outcomes, None), None)
 
 
 @pytest.mark.parametrize("delta", [None, math.pi / 8], ids=["z", "x-pi/8"])
@@ -515,7 +527,7 @@ def test_live_tables_drop_only_dead_outputs(delta):
     # the live view of the product rows keeps every output inside a pattern
     # and no other, in the full listing's order, value and type
     live = _live_masks()[1]
-    span, prob, mask, free, _ = analyzer._z_outcomes() if delta is None else analyzer._live_outcomes(delta)
+    span, prob, mask, free, _ = analyzer.relay().z_outcomes if delta is None else analyzer._live_outcomes(delta)
     assert sorted(span) == sorted(set(protocol._SURVIVORS))
     assert sum(s.stop - s.start for s in span.values()) == len(prob) == len(mask) == len(free)
     for c, own in span.items():
@@ -537,10 +549,10 @@ def test_product_rows_keep_their_memory_bound():
     # sources kept apart share no rows: 1.5 MB peak in passes of four
     # sources, 3.9 MB in one pass; the live rows take 0.33 MB
     w_analyzer().composed_map  # cached, and no part of the batch
-    analyzer._click_lookup()  # the detection table that tells live outputs, likewise
+    analyzer.relay().click_lookup  # the detection table that tells live outputs, likewise
     tracemalloc.start()
     try:
-        slots, rows = analyzer._product_rows.__wrapped__()
+        slots, rows = analyzer.Relay.product_rows.func(analyzer.relay())  # built afresh, not kept
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -551,8 +563,7 @@ def test_product_rows_keep_their_memory_bound():
 def test_a_cold_x_fill_keeps_its_memory_bound():
     # passes of four configurations over live rows peak at 1.47-1.48 MB; evaluating
     # every output one configuration at a time peaked at 3.4 MB
-    analyzer._product_rows()
-    derive_detection_table()
+    analyzer.relay().product_rows  # which reads the detection table
     tracemalloc.start()
     try:
         analyzer._live_outcomes(0.45)
@@ -572,7 +583,7 @@ def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
         assert _outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
     # each configuration's full rows are those of its own kernel call, up to
     # the slot numbering and the half-power, which reduction removes
-    slots, live_rows = analyzer._product_rows()
+    slots, live_rows = analyzer.relay().product_rows
     full = _full_product_rows()
     assert full.keys() == live_rows.keys()
     composed = w_analyzer().composed_map
@@ -995,11 +1006,11 @@ def test_the_plan_is_built_once_per_announcer_pair(monkeypatch):
     for r in pairs:
         for announcers in (r, r[::-1]):
             exact_enumerate(TrialConfig(announcers=announcers))
-    assert protocol._plan.cache_info().currsize == 6  # a pair and its reverse share one plan
+    assert len(analyzer.relay().plans) == 6  # a pair and its reverse share one plan
     calls = []
     monkeypatch.setattr(protocol, "_sift", lambda *args: calls.append("_sift"))
     monkeypatch.setattr(protocol, "_click_terms", lambda *args: calls.append("_click_terms"))
     for announcers, mode, y0 in product(pairs, ("paper", "physical"), (6.02e-6, Fraction(1, 1000))):
         exact_enumerate(TrialConfig(etas=(0.3, 0.5, 0.7, 0.9), y0=y0, mode=mode, announcers=announcers))
     assert calls == []
-    assert protocol._plan.cache_info().currsize == 6
+    assert len(analyzer.relay().plans) == 6
