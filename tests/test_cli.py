@@ -173,7 +173,7 @@ def test_simulate_x_delay_whose_phase_overflows_exits_1(capsys, delta, power):
 
 
 @pytest.mark.parametrize("trials", ["10000000001", "1000000000000000000000"])
-def test_simulate_beyond_the_work_budget_at_default_y0_exits_1_without_a_trial(capsys, monkeypatch, trials):
+def test_simulate_above_the_trial_cap_exits_1_without_a_trial(capsys, monkeypatch, trials):
     # at the default y0 the work budget is 10**10 trials, about a minute warm; a larger count never starts
     monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a trial ran"))
     for basis in ("z", "x"):
