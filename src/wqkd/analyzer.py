@@ -322,17 +322,17 @@ def _row_outcomes(
     probability, slot mask and bunching-free flag of each output, in row
     order.
 
-    Each probability is the one ``Amplitude.abs2(delta) * multiplicity``
-    gives, as a float at a delay.  A single phase power is the exact
-    |c|^2 * mult: a Fraction at ``delta=None`` when it is rational, else
-    rounded once.  A sum needs a delay; it is evaluated in the float
-    operations of ``Amplitude.evaluate``: each canonical coefficient times
-    exp(i k delta), added in ascending k, then squared in modulus.  Sources
-    evaluated together give the values each would give alone.
+    Each probability is the float of ``Amplitude.abs2(delta) * multiplicity``:
+    a single phase power is |c|^2 * mult rounded once.  At ``delta=None`` it
+    must be rational with units below 2**53, so exact; the first output that
+    is not raises, ``MixedPhaseWithoutDelta`` if it mixes phase powers.  A
+    sum at a delay is evaluated in the float operations of
+    ``Amplitude.evaluate``: each canonical coefficient times exp(i k delta),
+    added in ascending k, then squared in modulus.  Sources evaluated
+    together give the values each would give alone.
     """
-    dtype = object if delta is None else float
     if not len(ks):  # every output cancelled
-        return src, codes, np.empty(0, dtype), np.empty(0, np.int64), np.empty(0, bool)
+        return src, codes, np.empty(0), np.empty(0, np.int64), np.empty(0, bool)
     if nums.dtype != object and np.abs(nums).max() >= 1 << 26:  # |c|^2 * mult might overflow int64
         nums = nums.astype(object)
     p, q, r, s, hs = _reduce_rows(nums, h)
@@ -347,26 +347,24 @@ def _row_outcomes(
         mult *= run
     mask = np.bitwise_or.reduce(_slot_bits(slots)[heads], axis=1)
 
-    prob = np.empty(len(heads), dtype)
+    prob = np.empty(len(heads))
     single = np.bincount(output) == 1
     # one coefficient: |c|^2 = (plain + root * sqrt2) / 2**h, as _cabs2 has it
     plain, root, h1 = (p * p + q * q + 2 * (r * r + s * s))[first], (2 * (p * r + q * s))[first], hs[first]
+    units = plain * mult
     exact = single & (root == 0)
-    units = plain[exact] * mult[exact]
-    if delta is None or (units.size and units.max() >= 1 << 53):  # kept exact, or not exact as a float
-        fractions = [Fraction(int(u), 1 << int(e)) for u, e in zip(units, h1[exact])]
-        prob[exact] = fractions if delta is None else list(map(float, fractions))
-    else:
-        prob[exact] = np.ldexp(units.astype(float), -h1[exact])
+    if delta is None and (bad := np.flatnonzero(~exact | (units >= 1 << 53))).size:
+        if not single[bad[0]]:
+            raise MixedPhaseWithoutDelta(f"an output mixes phase powers {ks[output == bad[0]].tolist()}: no delta")
+        raise ValueError(f"output {render_pattern(slots[i] for i in heads[bad[0]])!r} has no exact float probability")
+    # the int64 or Python-int units rounded once, as float(Fraction) rounds them
+    prob[exact] = np.ldexp(units[exact].astype(float), -h1[exact])
     irrational = single & (root != 0)
     value = plain[irrational].astype(float) + root[irrational].astype(float) * _SQRT2
     prob[irrational] = np.ldexp(value, -h1[irrational]) * mult[irrational]
 
-    mixed = np.flatnonzero(~single)
-    if delta is None:
-        if mixed.size:
-            raise MixedPhaseWithoutDelta(f"an output mixes phase powers {ks[output == mixed[0]].tolist()}: no delta")
-    else:
+    if delta is not None:
+        mixed = np.flatnonzero(~single)
         # several: sum_k c_k * exp(i k delta) with a dense column per k over
         # the block's range; a power an output lacks adds +0.0, which changes
         # no sum but the sign of a zero, and abs() drops that sign
@@ -396,14 +394,14 @@ def _row_outcomes(
     return src[first], heads, prob, mask, mult == 1
 
 
-def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """The live outputs of all 81 survivor configurations: Z basis for
     ``delta=None``, X at delta otherwise.
 
-    Returns the span of each configuration's outputs and the probability,
-    slot mask and bunching-free flag of each output, in the order of the
-    configuration's full listing, then the probabilities as floats, which
-    the sampler reads.
+    Returns the span of each configuration's outputs and the float
+    probability, slot mask and bunching-free flag of each output, in the
+    order of the configuration's full listing; ``_row_outcomes`` checks
+    that every Z float is exact.
     """
     counts, prob, mask, free = [], [], [], []
     for part, (src, _, *columns) in _passes(relay().product_rows[1], _CONFIGS, delta):
@@ -411,8 +409,7 @@ def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, n
         for column, values in zip((prob, mask, free), columns):
             column.append(values)
     span = {c: slice(end - n, end) for c, n, end in zip(_CONFIGS, counts, accumulate(counts))}
-    prob, mask, free = (np.concatenate(column) for column in (prob, mask, free))
-    return span, prob, mask, free, prob.astype(float)
+    return span, *(np.concatenate(column) for column in (prob, mask, free))
 
 
 class Relay:
@@ -422,8 +419,8 @@ class Relay:
         -> z_outcomes / x_outcomes(delta) -> plans / merges
 
     ``x`` holds the last delay a run used and its X table; ``plans`` one plan per
-    sorted announcer pair (at most 6); ``merges`` one entry table per delay and
-    sift (at most 4, the oldest dropped first).  ``relay.cache_clear()`` drops all.
+    sorted announcer pair (at most 6); ``merges`` one entry table per delay, mode
+    and sorted pair (at most 4, the oldest dropped first).  ``relay.cache_clear()`` drops all.
     """
 
     def __init__(self):
@@ -479,7 +476,7 @@ class Relay:
 
     @functools.cached_property
     def z_outcomes(self) -> tuple:
-        return _live_outcomes(None)  # the analyzer is fixed: the 81 configurations once, exact
+        return _live_outcomes(None)  # the analyzer is fixed: the 81 configurations once, exact floats
 
     def x_outcomes(self, delta: float) -> tuple:
         self.x = self.x if self.x and self.x[0] == delta else (delta, _live_outcomes(delta))

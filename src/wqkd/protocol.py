@@ -165,13 +165,11 @@ def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[Fraction, t
     walk order.
     """
     patterns = derive_detection_table().patterns
-    span, probs, masks, frees, floats = relay().z_outcomes
+    span, *columns = relay().z_outcomes
     own = span[survivors]  # its live outcomes: no other one lies inside a pattern
-    unit = math.lcm(*(p.denominator for p in probs[own]))  # exact sums in integers
-    rows = [
-        (mmask, 4 - bin(mmask).count("1"), free, p.numerator * (unit // p.denominator), f)
-        for p, mmask, free, f in zip(*(column[own].tolist() for column in (probs, masks, frees, floats)))
-    ]
+    outcomes = [(p.as_integer_ratio(), p, *rest) for p, *rest in zip(*(column[own].tolist() for column in columns))]
+    unit = math.lcm(*(d for (_, d), *_ in outcomes))  # exact sums in integers, as each Z float is exact
+    rows = [(mmask, 4 - bin(mmask).count("1"), free, n * (unit // d), p) for (n, d), p, mmask, free in outcomes]
     paper = 0
     coeffs = [0] * 5
     probs, missing = [], []
@@ -370,7 +368,7 @@ def _entry_merge(delta: float | None, mode: str, announcers: tuple[int, int]) ->
     if key in merges:
         return merges[key]
     basis = "z" if delta is None else "x"
-    span, _, mask, free, prob = relay().z_outcomes if delta is None else relay().x_outcomes(delta)
+    span, prob, mask, free = relay().z_outcomes if delta is None else relay().x_outcomes(delta)
     spans = [span[survivors] for survivors in _SURVIVORS]
     take = np.concatenate([np.arange(s.start, s.stop) for s in spans])
     cls = np.repeat(np.arange(256), [s.stop - s.start for s in spans])
@@ -402,9 +400,10 @@ def _entry_merge(delta: float | None, mode: str, announcers: tuple[int, int]) ->
 def _weighted_merge(cfg: TrialConfig) -> tuple:
     """The entry table of ``cfg``'s sift, weighted by its etas: each entry's
     probability, then ``_entry_merge``'s ``no_dark``, ``mask`` and ``cell``."""
-    # a Z configuration carries delta 0.0, so the Z table must not key on it
+    # a Z configuration carries delta 0.0, so the Z table must not key on it;
+    # the sift is symmetric in the announcers, so a pair and its reverse share a merge
     delta = cfg.delta if cfg.basis == "x" else None
-    surv, prob, inverse, no_dark, mask, cell = _entry_merge(delta, cfg.mode, cfg.announcers)
+    surv, prob, inverse, no_dark, mask, cell = _entry_merge(delta, cfg.mode, tuple(sorted(cfg.announcers)))
     weight = np.array(_survival_weights(tuple(map(float, cfg.etas))))
     # a row of weight 0.0 adds +0.0, which leaves every float sum as it was; an
     # entry it empties stays in the draw, where multinomial gives it no trial

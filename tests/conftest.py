@@ -129,8 +129,8 @@ def _survivor_state(survivors, basis):
 @functools.cache  # at most 81 configurations, shared by the tests that read them
 def _reference_z_outcomes(survivors):
     """The Z outcome oracle in Amplitude arithmetic: one Amplitude per output,
-    its exact ``abs2() * multiplicity``, which ``_outcomes(survivors, None)``
-    must equal in value and type."""
+    its exact ``abs2() * multiplicity``, which the float of
+    ``_outcomes(survivors, None)`` must equal exactly."""
     return tuple(
         (mon, amp.abs2() * multiplicity_factor(mon), slot_mask(mon), len(set(mon)) == len(mon))
         for mon, amp in _survivor_state(survivors, "z").terms()
@@ -213,16 +213,17 @@ def _reference_live_table(outcomes_of, delta):
     """The live-table oracle: each survivor configuration's listing
     ``outcomes_of(survivors)`` with its dead outcomes dropped one by one, in
     the package's configuration order, which ``analyzer._live_outcomes(delta)``
-    must equal in span, dtype, type and value.  The Z probabilities stay
-    exact; at a delay they are floats."""
+    must equal in span, dtype, type and value.  Every probability is a float;
+    an exact Z one must equal its float exactly."""
     live = _live_masks()[1]
     span, outcomes = {}, []
     for survivors in analyzer._CONFIGS:
-        own = [(p if delta is None else float(p), m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
+        own = [(p, m, f) for _, p, m, f in outcomes_of(survivors) if m in live]
         span[survivors] = slice(len(outcomes), len(outcomes) + len(own))
         outcomes += own
     prob, mask, free = (np.array(column) for column in zip(*outcomes))
-    return span, prob, mask, free, np.array([float(p) for p in prob.tolist()])
+    assert prob.astype(float).tolist() == prob.tolist()  # a float equals a Fraction only at its exact value
+    return span, prob.astype(float), mask, free
 
 
 @pytest.fixture(scope="session")
@@ -235,10 +236,10 @@ def _class_rows(basis, delta):
     """The live table of a basis and delay laid out one input class
     (bits * 16 + survival subset) at a time: each class's row numbers, then
     the class, float probability, slot mask and bunching flag of each row."""
-    span, prob, mask, free, _ = analyzer.relay().z_outcomes if basis == "z" else analyzer.relay().x_outcomes(delta)
+    span, prob, mask, free = analyzer.relay().z_outcomes if basis == "z" else analyzer.relay().x_outcomes(delta)
     rows = [(cid, i) for cid, c in enumerate(protocol._SURVIVORS) for i in range(span[c].start, span[c].stop)]
     cls, take = np.array(rows).T
-    return cls, np.array([float(p) for p in prob[take].tolist()]), mask[take], free[take]
+    return cls, prob[take], mask[take], free[take]
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,7 @@ def test_cached_entries_equal_a_fresh_merge(reference_entries):
                 # the cached tally cells are int8; every other field keeps its dtype
                 assert name in ("cell", "no_dark") or got.dtype == getattr(want, name).dtype, (cfg, name)
                 assert np.array_equal(got[live], getattr(want, name)), (cfg, name)
-            merges, key = analyzer.relay().merges, (None if basis == "z" else cfg.delta, mode, announcers)
+            merges, key = analyzer.relay().merges, (None if basis == "z" else cfg.delta, mode, tuple(sorted(announcers)))
             merge, keys = merges[key], list(merges)
             run_trials(dataclasses.replace(cfg, trials=1))  # a run reads the merge just made
             assert list(merges) == keys and merges[key] is merge, cfg
@@ -450,6 +450,15 @@ def test_z_and_x_rows_never_share_a_key(monkeypatch, fresh_relay):
     assert fresh_relay.x[0] == 0.3 and len(fresh_relay.merges) == 3
 
 
+def test_a_pair_and_its_reverse_share_one_entry_merge(fresh_relay):
+    # the sift is symmetric in the announcers, so the merge keys on the sorted pair
+    for basis in "zx":
+        cfg = TrialConfig(etas=(0.5, 0.3, 0.7, 0.9), y0=1e-3, basis=basis, announcers=(3, 1), trials=100_000, seed=8)
+        tally = run_trials(cfg)
+        assert dataclasses.replace(run_trials(dataclasses.replace(cfg, announcers=(1, 3))), config=cfg) == tally
+    assert list(fresh_relay.merges) == [(None, "physical", (1, 3)), (0.0, "physical", (1, 3))]
+
+
 def test_the_z_table_is_built_once_per_process(monkeypatch):
     # an X sweep pushes the Z merge out of the relay, never the Z table
     z = TrialConfig(etas=(0.5,) * 4, y0=1e-4, trials=1000, seed=5)
@@ -499,7 +508,7 @@ _X_DELAYS = (0.0, math.pi / 8, math.pi / 2, 0.3, -1.1, 2 * math.pi, 7.0, 1e3, 1e
 
 def _assert_same_table(table, oracle, delta):
     assert table[0] == oracle[0], delta  # the spans
-    for name, a, b in zip(("prob", "mask", "free", "float prob"), table[1:], oracle[1:]):
+    for name, a, b in zip(("prob", "mask", "free"), table[1:], oracle[1:]):
         assert a.dtype == b.dtype, (delta, name)
         assert [(type(v), v) for v in a.tolist()] == [(type(v), v) for v in b.tolist()], (delta, name)
 
@@ -522,12 +531,21 @@ def test_z_live_table_equals_the_reference_lists(reference_z_outcomes, reference
     _assert_same_table(analyzer.relay().z_outcomes, reference_live_table(reference_z_outcomes, None), None)
 
 
+def test_the_z_table_holds_one_exact_float_column(reference_z_outcomes):
+    # no object column and no float copy: each probability is the exact abs2() * multiplicity
+    _, prob, mask, free = analyzer.relay().z_outcomes
+    assert (prob.dtype, mask.dtype, free.dtype) == (np.float64, np.int64, np.bool_)
+    for c in sorted(set(protocol._SURVIVORS)):
+        want = [p for _, p, _, _ in reference_z_outcomes(c)]
+        assert [Fraction(p) for _, p, _, _ in _outcomes(c, None)] == want, c
+
+
 @pytest.mark.parametrize("delta", [None, math.pi / 8], ids=["z", "x-pi/8"])
 def test_live_tables_drop_only_dead_outputs(delta):
     # the live view of the product rows keeps every output inside a pattern
     # and no other, in the full listing's order, value and type
     live = _live_masks()[1]
-    span, prob, mask, free, _ = analyzer.relay().z_outcomes if delta is None else analyzer._live_outcomes(delta)
+    span, prob, mask, free = analyzer.relay().z_outcomes if delta is None else analyzer._live_outcomes(delta)
     assert sorted(span) == sorted(set(protocol._SURVIVORS))
     assert sum(s.stop - s.start for s in span.values()) == len(prob) == len(mask) == len(free)
     for c, own in span.items():
@@ -577,8 +595,7 @@ def test_vacuum_and_product_rows_equal_one_monomial_kernel_calls():
     # no survivor: the vacuum, certain in either basis
     (vacuum,) = _survivor_state((), "z").terms()
     assert vacuum == ((), Amplitude.one())
-    assert _outcomes((), None) == (((), Fraction(1), 0, True),)
-    assert type(_outcomes((), None)[0][1]) is Fraction
+    assert _outcomes((), None) == _reference_z_outcomes(()) == (((), 1.0, 0, True),)
     for delta in (0.0, 0.7):
         assert _outcomes((), delta) == _reference_x_outcomes((), delta) == (((), 1.0, 0, True),)
     # each configuration's full rows are those of its own kernel call, up to
@@ -659,28 +676,41 @@ def test_x_evaluation_equals_abs2_on_any_rows(state, mm, delta, scale):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(*_rows(1), st.sampled_from((1, 2**40 + 1)))
 def test_evaluation_without_delay_equals_abs2_on_any_rows(state, mm, scale):
-    # without a delay, a block whose outputs each hold one phase power gives
-    # abs2() * multiplicity in value and type: a Fraction when rational, else
-    # a float; a block with a mixed output raises as abs2() does
+    # without a delay, a block whose outputs each hold one phase power with an
+    # exact float gives that float of abs2() * multiplicity; else its first
+    # other output raises, as abs2() does if it mixes (None), or a ValueError:
+    # irrational, or scaled by 2**40 + 1, which takes more than 53 bits
     for slots, block, amps in _blocks(state, mm, scale):
-        if any(len(amp.phase_powers()) > 1 for _, amp in amps):
-            with pytest.raises(MixedPhaseWithoutDelta):
-                analyzer._row_outcomes(slots, *block, None)
-            continue
         want = [
-            (mon, amp.abs2() * multiplicity_factor(mon), analyzer.slot_mask(mon), len(set(mon)) == len(mon))
+            (mon, amp.abs2() * multiplicity_factor(mon) if len(amp.phase_powers()) == 1 else None,
+             analyzer.slot_mask(mon), len(set(mon)) == len(mon))
             for mon, amp in amps
         ]
-        got = _listing(slots, analyzer._row_outcomes(slots, *block, None))
-        assert got == tuple(want)
-        assert [type(p) for _, p, _, _ in got] == [type(p) for _, p, _, _ in want]
+        if bad := [p for _, p, _, _ in want if not isinstance(p, Fraction) or float(p) != p]:
+            with pytest.raises(MixedPhaseWithoutDelta if bad[0] is None else ValueError) as exc:
+                analyzer._row_outcomes(slots, *block, None)
+            assert (exc.type is MixedPhaseWithoutDelta) is (bad[0] is None)
+            continue
+        assert _listing(slots, analyzer._row_outcomes(slots, *block, None)) == tuple(want)  # exact: float == Fraction
+
+
+def test_evaluation_without_delay_raises_where_a_float_would_round():
+    # one output on slot s0, exactly 1 at phase power 0: (1 + sqrt2)**2 is
+    # irrational, and (2**40 + 1)**2 needs 81 bits; at a delay each is rounded once
+    slots, one = [Mode("s", 0)], (np.zeros(1, np.int64), np.zeros((1, 1), np.int64), np.zeros(1, np.int64))
+    for nums, value in (([1, 0, 1, 0], 3 + 2 * math.sqrt(2)), ([2**40 + 1, 0, 0, 0], float((2**40 + 1) ** 2))):
+        block = (*one, np.array([nums], np.int64), 0)
+        with pytest.raises(ValueError, match="^output 's0' has no exact float probability$") as exc:
+            analyzer._row_outcomes(slots, *block, None)
+        assert exc.type is ValueError  # no mixed phase powers
+        assert analyzer._row_outcomes(slots, *block, 0.0)[2].tolist() == [value]
 
 
 def _evaluated(slots, block, delta):
     """``_row_outcomes`` of one block, or the message of the error it raised."""
     try:
         return analyzer._row_outcomes(slots, *block, delta)
-    except MixedPhaseWithoutDelta as exc:
+    except ValueError as exc:
         return str(exc)
 
 
@@ -714,7 +744,7 @@ def test_source_column_equals_per_source_calls(state, mm, picks, delta, scale):
         assert np.array_equal(together[0], want_src)
         for j in (1, 3, 4):  # codes, mask, bunching-free flag
             assert np.array_equal(together[j], np.concatenate([a[j] for a in alone]))
-        # repr tells a Fraction from a float and -0.0 from 0.0
+        # repr tells -0.0 from 0.0
         assert list(map(repr, together[2].tolist())) == [repr(p) for a in alone for p in a[2].tolist()]
 
 
@@ -730,9 +760,7 @@ def test_z_outcomes_equal_direct_propagation(reference_z_outcomes):
             for mon, _ in state.terms()
         )
         assert reference_z_outcomes(c) == reference, c
-        outcomes = _outcomes(c, None)
-        assert outcomes == reference, c
-        assert all(type(p) is Fraction for _, p, _, _ in outcomes), c
+        assert _outcomes(c, None) == reference, c  # a float equals a Fraction only at its exact value
 
 
 def _at_quarter_turns(amp, turns):
