@@ -163,16 +163,39 @@ def parse_pattern(text: str) -> Monomial:
 
 
 def propagate_w_state(label: int) -> FockState:
-    return w_analyzer().propagate(encode_fock(w_state(label), INPUT_MODES))
+    """The W analyzer's output for the W state ``label``, from the relay's
+    ``w_rows``: no kernel runs once they exist.
+
+    The analyzer is linear and each W amplitude is +-1/2, so the state's rows
+    are the four blocks of its product monomials, each with its sign, at
+    half-power h + 2, merged once.  These are the rows that propagating the
+    encoded state itself gives, so the state equals that propagation term
+    for term and coefficient for coefficient, in the same order.
+    """
+    slots, rows = relay().w_rows
+    half = Amplitude.gauss(1, 0, 2)
+    blocks, signs = [], []
+    for mon, amp in encode_fock(w_state(label), INPUT_MODES).terms():
+        if amp not in (half, -half):
+            raise ValueError(f"W amplitude {amp} is not +-1/2")
+        blocks.append(rows[mon])
+        signs.append(1 if amp == half else -1)
+    codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
+    nums = nums * np.repeat(signs, [len(block[1]) for block in blocks])[:, None]
+    _, codes, ks, nums = _checked_merge((np.zeros_like(ks), codes, ks, nums), len(blocks))
+    return FockState._from_rows(slots, [(codes, ks, nums, blocks[0][3] + 2)])
 
 
 def derive_detection_table(cache: bool = True) -> DetectionTable:
     """Propagate all 16 catalog states and keep patterns unique to one state.
 
-    Coincidences are monomials with exactly one photon in each of s, u, v, w;
-    a pattern is unique when its symbolic amplitude is nonzero for exactly one
-    of the 16 inputs.  The result is the relay's table; pass cache=False for
-    a fresh relay, whose derivation then serves every table built after it.
+    Each state is its product monomials' signed rows from the relay's
+    ``w_rows`` (see ``propagate_w_state``), so the 16 states cost one batch
+    of four kernel passes.  Coincidences are monomials with exactly one photon
+    in each of s, u, v, w; a pattern is unique when its symbolic amplitude is
+    nonzero for exactly one of the 16 inputs.  The result is the relay's
+    table; pass cache=False for a fresh relay, whose derivation then serves
+    every table built after it.
     """
     if not cache:
         relay.cache_clear()
@@ -415,8 +438,8 @@ def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, n
 class Relay:
     """The relay's tables, each built when first read, from the one before it:
 
-        w_analyzer -> composed_map -> table -> click_lookup -> product_rows
-        -> z_outcomes / x_outcomes(delta) -> plans / merges
+        w_analyzer -> composed_map -> w_rows -> table -> click_lookup
+        -> product_rows -> z_outcomes / x_outcomes(delta) -> plans / merges
 
     ``x`` holds the last delay a run used and its X table; ``plans`` one plan per
     sorted announcer pair (at most 6); ``merges`` one entry table per delay, mode
@@ -425,6 +448,14 @@ class Relay:
 
     def __init__(self):
         self.x, self.plans, self.merges = None, {}, {}
+
+    @functools.cached_property
+    def w_rows(self) -> tuple[list[Mode], dict[Monomial, tuple]]:
+        """The composed map's image of the 16 four-photon product monomials,
+        every row kept: the blocks each W state is a signed sum of, and the
+        four-photon blocks of ``product_rows``."""
+        four = [_product_monomial(c) for c in _CONFIGS if len(c) == 4]
+        return FockState(dict.fromkeys(four, Amplitude.one())).image_rows(w_analyzer().composed_map)
 
     @functools.cached_property
     def table(self) -> DetectionTable:
@@ -458,20 +489,26 @@ class Relay:
     @functools.cached_property
     def product_rows(self) -> tuple[list[Mode], dict[tuple[tuple[int, int], ...], tuple]]:
         """The composed map's image of every survivor configuration's product
-        monomial, the vacuum included, in one kernel run: kernel rows kept
-        apart per configuration, every k-photon block at the same half-power,
-        with the rows of the outputs outside every detection pattern dropped.
-        Liveness depends on an output's slots alone, so every row of an output
-        is kept or dropped with it, and so is every X output merged from them.
+        monomial, the vacuum included: kernel rows kept apart per
+        configuration, every k-photon block at the same half-power, with the
+        rows of the outputs outside every detection pattern dropped.  The
+        four-photon blocks are cut from ``w_rows``; the kernel runs on the
+        vacuum and the monomials of one to three photons only.  Liveness
+        depends on an output's slots alone, so every row of an output is kept
+        or dropped with it, and so is every X output merged from them.
         """
-        configs = {_product_monomial(c): c for c in _CONFIGS}
-        state = FockState(dict.fromkeys(configs, Amplitude.one()))
-        slots, rows = state.image_rows(w_analyzer().composed_map)
+        w_slots, w_rows = self.w_rows
+        fewer = [_product_monomial(c) for c in _CONFIGS if len(c) < 4]
+        slots, rows = FockState(dict.fromkeys(fewer, Amplitude.one())).image_rows(w_analyzer().composed_map)
+        if slots != w_slots:  # the blocks' slot codes index one list
+            raise ValueError("the product monomials and the W batch have different output slots")
+        rows.update(w_rows)
         bits, live = _slot_bits(slots), self.click_lookup[1]
         out = {}
-        for mon, (codes, ks, nums, h) in rows.items():
+        for c in _CONFIGS:
+            codes, ks, nums, h = rows[_product_monomial(c)]
             keep = live[np.bitwise_or.reduce(bits[codes], axis=1)]
-            out[configs[mon]] = (codes[keep], ks[keep], nums[keep], h)
+            out[c] = (codes[keep], ks[keep], nums[keep], h)
         return slots, out
 
     @functools.cached_property

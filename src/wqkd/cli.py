@@ -173,12 +173,15 @@ def _table_lines(table, fmt: str) -> list[str]:
 
 def _load_golden_rows(path: str) -> list[tuple[str, str, str]]:
     rows = []
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("state,"):
             continue
-        state, pattern, prob = line.split(",")
-        rows.append((state, pattern, f"{float(prob):.10f}"))
+        try:
+            state, pattern, prob = line.split(",")
+            rows.append((state, pattern, f"{float(prob):.10f}"))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: expected state,pattern,probability, got {line!r}") from None
     return rows
 
 

@@ -141,12 +141,25 @@ class FockState:
         of each photon number are merged, and each output's rows reduced.
         """
         slots, sources = self.image_rows(mm)
-        out: dict[Monomial, Amplitude] = {}
+        merged = []
         for _, group in groupby(sources.items(), key=lambda item: len(item[0])):
             blocks = [block for _, block in group]
             codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
             _, codes, ks, nums = _checked_merge((np.zeros_like(ks), codes, ks, nums), len(blocks))
             h = blocks[0][3]  # every block of one photon number lies at the same half-power
+            merged.append((codes, ks, nums, h))
+        return FockState._from_rows(slots, merged)
+
+    @staticmethod
+    def _from_rows(slots: list[Mode], merged: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, int]]) -> FockState:
+        """The state of merged kernel rows: one canonical Amplitude per output.
+
+        Each of ``merged`` is (codes, ks, nums, h) as :meth:`image_rows` gives
+        a block, its rows merged so that no two share codes and phase power;
+        distinct entries hold distinct outputs.
+        """
+        out: dict[Monomial, Amplitude] = {}
+        for codes, ks, nums, h in merged:
             for c, terms in groupby(zip(codes.tolist(), ks.tolist(), nums.tolist()), key=itemgetter(0)):
                 coeffs = {k: _reduce(p, q, r, s, h) for _, k, (p, q, r, s) in terms}
                 out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)

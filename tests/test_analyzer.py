@@ -91,6 +91,17 @@ def test_composed_propagation_equals_staged_oracle(x_superposition_outcomes, w_s
     assert [_outcomes(c, delta) for c in x_configs] == staged_x
 
 
+def test_w_states_from_the_w_batch_equal_their_own_propagation(w_state_chains):
+    # the signed sum of the product monomials' blocks builds the state of a
+    # kernel call on the encoded W state: same terms in the same order, each
+    # coefficient with the same phase powers in the same order
+    for label, (_, out) in enumerate(w_state_chains):
+        got = propagate_w_state(label)
+        assert list(got._terms) == list(out._terms), label
+        for a, b in zip(got._terms.values(), out._terms.values()):
+            assert list(a._terms.items()) == list(b._terms.items()), label
+
+
 def test_default_table_is_memoized_until_a_fresh_derivation():
     memo = derive_detection_table()
     assert derive_detection_table() is memo

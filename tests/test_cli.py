@@ -71,6 +71,20 @@ def test_missing_path_exits_1_with_one_line(capsys, tmp_path, argv):
     assert "No such file or directory" in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["W4_0,s0u1v0w2", "W4_0,s0u1v0w2,0.0039o625"],
+    ids=["two-fields", "non-numeric-probability"],
+)
+def test_malformed_golden_line_names_file_and_line(capsys, tmp_path, bad):
+    golden = tmp_path / "g.csv"
+    golden.write_text(f"state,pattern,probability\n{bad}\n")
+    code, out, err = run(capsys, "derive-table", "--golden", str(golden))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {golden}, line 2: expected state,pattern,probability, got {bad!r}\n"
+
+
 def test_keyrate_command(capsys, tmp_path):
     out_file = tmp_path / "rates.csv"
     code, _, _ = run(
@@ -685,17 +699,19 @@ print(json.dumps([code, calls["kernel"], calls["w"], *built, relay.x is not None
 # per command: exit code, kernel passes (fock._propagate calls), W propagations,
 # then what the relay holds of the chain its docstring states: the table, the
 # product rows, the Z table and an X table, each 1 (true) once built, the
-# number of plans and of merges, and the click lookup; the table is 16
-# passes, the product-row batch 21.  An X fill that raises keeps nothing
+# number of plans and of merges, and the click lookup; the table is the W
+# batch's 4 passes, which its 16 W propagations share, and the product-row
+# batch adds 17 for the monomials of fewer than four photons.  An X fill
+# that raises keeps nothing
 _WORK_PINS = {
     "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    "keyrate": [0, 16, 16, 1, 0, 0, 0, 0, 0, 0],
-    "derive-table": [0, 16, 16, 1, 0, 0, 0, 0, 0, 0],
-    "verify": [0, 25, 17, 1, 0, 0, 0, 0, 0, 0],
-    "enumerate": [0, 37, 16, 1, 1, 1, 0, 1, 0, 1],
-    "simulate --trials 1000": [0, 37, 16, 1, 1, 1, 0, 1, 1, 1],
-    "simulate --basis x --delta 0.3927 --trials 1000": [0, 37, 16, 1, 1, 0, 1, 0, 1, 1],
-    "simulate --basis x --delta=1e308 --trials 1000": [1, 37, 16, 1, 1, 0, 0, 0, 0, 1],
+    "keyrate": [0, 4, 16, 1, 0, 0, 0, 0, 0, 0],
+    "derive-table": [0, 4, 16, 1, 0, 0, 0, 0, 0, 0],
+    "verify": [0, 12, 17, 1, 0, 0, 0, 0, 0, 0],
+    "enumerate": [0, 21, 16, 1, 1, 1, 0, 1, 0, 1],
+    "simulate --trials 1000": [0, 21, 16, 1, 1, 1, 0, 1, 1, 1],
+    "simulate --basis x --delta 0.3927 --trials 1000": [0, 21, 16, 1, 1, 0, 1, 0, 1, 1],
+    "simulate --basis x --delta=1e308 --trials 1000": [1, 21, 16, 1, 1, 0, 0, 0, 0, 1],
 }
 
 

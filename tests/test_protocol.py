@@ -564,8 +564,9 @@ def test_a_new_delay_runs_no_kernel(monkeypatch):
 
 
 def test_product_rows_keep_their_memory_bound():
-    # sources kept apart share no rows: 1.5 MB peak in passes of four
-    # sources, 3.9 MB in one pass; the live rows take 0.33 MB
+    # sources kept apart share no rows: 0.76 MB peak in passes of four
+    # sources, the four-photon blocks taken from the W batch; 3.9 MB in one
+    # pass over all 81; the live rows take 0.33 MB
     w_analyzer().composed_map  # cached, and no part of the batch
     analyzer.relay().click_lookup  # the detection table that tells live outputs, likewise
     tracemalloc.start()
@@ -576,6 +577,23 @@ def test_product_rows_keep_their_memory_bound():
         tracemalloc.stop()
     assert peak < 2_000_000
     assert len(rows) == 81
+
+
+def test_the_cold_table_keeps_its_memory_bound():
+    # the W batch keeps its 7998 rows in int64 columns, 0.55 MB; with the 16
+    # W states built from it one at a time, the cold table peaks at 1.40-1.49 MB
+    w_analyzer().composed_map  # cached, and no part of the table
+    analyzer.relay.cache_clear()
+    tracemalloc.start()
+    try:
+        analyzer.relay().table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = analyzer.relay().w_rows[1].values()
+    assert sum(len(ks) for _, ks, _, _ in blocks) == 7998
+    assert sum(column.nbytes for block in blocks for column in block[:3]) == 575_856
+    assert peak < 1_800_000
 
 
 def test_a_cold_x_fill_keeps_its_memory_bound():
