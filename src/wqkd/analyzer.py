@@ -33,7 +33,7 @@ import numpy as np
 
 from .amplitude import _SQRT2, Amplitude, _reduce_rows
 from .errors import MixedPhaseWithoutDelta
-from .fock import _PASS, FockState, Mode, ModeMap, Monomial, _checked_merge, monomial
+from .fock import _PASS, FockState, Mode, ModeMap, Monomial, _block_sum, monomial
 from .qubits import W_LABELS, bell_state, encode_fock, w_state
 
 INPUT_MODES = ("a", "b", "c", "d")
@@ -166,24 +166,19 @@ def propagate_w_state(label: int) -> FockState:
     """The W analyzer's output for the W state ``label``, from the relay's
     ``w_rows``: no kernel runs once they exist.
 
-    The analyzer is linear and each W amplitude is +-1/2, so the state's rows
-    are the four blocks of its product monomials, each with its sign, at
-    half-power h + 2, merged once.  These are the rows that propagating the
-    encoded state itself gives, so the state equals that propagation term
-    for term and coefficient for coefficient, in the same order.
+    Each W amplitude is +-1/2, so its rows are the signed block sum of its
+    four product monomials at half 2 (``fock._block_sum``): the rows that
+    propagating the encoded state gives, so the state equals that propagation
+    term for term and coefficient for coefficient, in the same order.
     """
     slots, rows = relay().w_rows
     half = Amplitude.gauss(1, 0, 2)
-    blocks, signs = [], []
+    terms = []
     for mon, amp in encode_fock(w_state(label), INPUT_MODES).terms():
         if amp not in (half, -half):
             raise ValueError(f"W amplitude {amp} is not +-1/2")
-        blocks.append(rows[mon])
-        signs.append(1 if amp == half else -1)
-    codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
-    nums = nums * np.repeat(signs, [len(block[1]) for block in blocks])[:, None]
-    _, codes, ks, nums = _checked_merge((np.zeros_like(ks), codes, ks, nums), len(blocks))
-    return FockState._from_rows(slots, [(codes, ks, nums, blocks[0][3] + 2)])
+        terms.append((mon, 1 if amp == half else -1))
+    return FockState._from_rows(slots, [_block_sum(rows, [terms], 2)])
 
 
 def derive_detection_table(cache: bool = True) -> DetectionTable:
@@ -282,51 +277,37 @@ def _product_monomial(survivors: tuple[tuple[int, int], ...]) -> Monomial:
     return monomial(*(Mode(INPUT_MODES[party], bit) for party, bit in survivors))
 
 
+def _x_terms(survivors: tuple[tuple[int, int], ...]) -> list[tuple[tuple, int]]:
+    """The X input of survivors as signed product monomials, at half k: a
+    photon of party p with bit x enters as (a†[p, 0] + (-1)**x a†[p, 1]) /
+    sqrt2, so k survivors enter as 2**(-k/2) times the sum over bits z of
+    (-1)**(x.z) times the product monomial with bits z."""
+    parties = [party for party, _ in survivors]
+    return [
+        (tuple(zip(parties, zbits)), (-1) ** sum(x & z for (_, x), z in zip(survivors, zbits)))
+        for zbits in product((0, 1), repeat=len(survivors))
+    ]
+
+
 def _passes(rows: dict, configs: list, delta: float | None) -> Iterator[tuple[list, tuple]]:
     """The outputs of survivor configurations from their ``rows``, kernel
     blocks per configuration as ``Relay.product_rows`` keeps them: Z basis for
     ``delta=None``, X at delta otherwise.
 
-    The analyzer is linear.  A Z configuration is its own product monomial.
-    In X each photon of party p with bit x enters as (a†[p, 0] + (-1)**x
-    a†[p, 1]) / sqrt2, so the survivors' input is 2**(-k/2) times the sum
-    over bits z of (-1)**(x.z) times the product monomial with bits z: its
-    rows are the 2**k signed Z blocks merged, at half-power h + k.
-
-    Runs of consecutive configurations with equal photon number k are
-    evaluated in passes of at most ``_PASS``: the blocks of a pass are
-    concatenated with the configuration's index in the pass as their source,
-    and one ``_row_outcomes`` call evaluates them.  Yields each pass's
-    configurations and outputs.
+    A configuration's rows are the signed block sum (``fock._block_sum``) of
+    its own monomial in Z, of its ``_x_terms`` in X.  Runs of consecutive
+    configurations with equal photon number k go in passes of at most
+    ``_PASS``, each configuration's index in the pass as its source, one
+    ``_row_outcomes`` call per pass.  Yields each pass's configurations and
+    outputs.
     """
     slots = relay().product_rows[0]
     for k, run in groupby(configs, key=len):
         run = list(run)
         for start in range(0, len(run), _PASS):
             part = run[start : start + _PASS]
-            blocks, owner, sign = [], [], []
-            for i, survivors in enumerate(part):
-                if delta is None:
-                    signed = [(rows[survivors], 0)]
-                else:
-                    parties = [party for party, _ in survivors]
-                    signed = [
-                        (rows[tuple(zip(parties, zbits))], sum(x & z for (_, x), z in zip(survivors, zbits)))
-                        for zbits in product((0, 1), repeat=k)
-                    ]
-                for block, flips in signed:
-                    blocks.append(block)
-                    owner.append(i)
-                    sign.append(-1 if flips % 2 else 1)
-            codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
-            h = blocks[0][3]  # every k-photon block lies at the same half-power
-            sizes = [len(block[1]) for block in blocks]
-            src = np.repeat(owner, sizes)
-            if delta is not None:
-                nums = nums * np.repeat(sign, sizes)[:, None]
-                src, codes, ks, nums = _checked_merge((src, codes, ks, nums), 1 << k)
-                h += k
-            yield part, _row_outcomes(slots, src, codes, ks, nums, h, delta)
+            inputs, half = ([[(c, 1)] for c in part], 0) if delta is None else (list(map(_x_terms, part)), k)
+            yield part, _row_outcomes(slots, *_block_sum(rows, inputs, half), delta)
 
 
 def _row_outcomes(
@@ -392,11 +373,7 @@ def _row_outcomes(
         # the block's range; a power an output lacks adds +0.0, which changes
         # no sum but the sign of a zero, and abs() drops that sign
         low = int(ks.min())
-        phase = []
-        for k in range(low, int(ks.max()) + 1):
-            if not math.isfinite(k * delta):  # cmath.exp would raise, numpy would give nan
-                raise ValueError(f"delay delta={delta!r} is too large: phase power {k} times delta overflows")
-            phase.append(cmath.exp(1j * k * delta))
+        phase = _phases(range(low, int(ks.max()) + 1), delta)
         scale = np.array([2.0 ** (-e / 2) for e in range(int(hs.max()) + 1)])[hs]
         re = (p.astype(float) + r.astype(float) * _SQRT2) * scale
         im = (q.astype(float) + s.astype(float) * _SQRT2) * scale
@@ -415,6 +392,16 @@ def _row_outcomes(
             for a, b, m in zip(sum_re[mixed].tolist(), sum_im[mixed].tolist(), mult[mixed].tolist())
         ]
     return src[first], heads, prob, mask, mult == 1
+
+
+def _phases(powers: range, delta: float) -> list[complex]:
+    """exp(i k delta) for each phase power k, as ``Amplitude.evaluate`` forms it."""
+    phase = []
+    for k in powers:
+        if not math.isfinite(k * delta):  # cmath.exp would raise, numpy would give nan
+            raise ValueError(f"delay delta={delta!r} is too large: phase power {k} times delta overflows")
+        phase.append(cmath.exp(1j * k * delta))
+    return phase
 
 
 def _live_outcomes(delta: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
@@ -516,7 +503,11 @@ class Relay:
         return _live_outcomes(None)  # the analyzer is fixed: the 81 configurations once, exact floats
 
     def x_outcomes(self, delta: float) -> tuple:
-        self.x = self.x if self.x and self.x[0] == delta else (delta, _live_outcomes(delta))
+        if not (self.x and self.x[0] == delta):
+            # four photons reach at most 4x a photon's largest phase power: check each before any work
+            top = max(max(amp.phase_powers()) for img in w_analyzer().composed_map.entries.values() for *_, amp in img)
+            _phases(range(len(INPUT_MODES) * top + 1), delta)
+            self.x = (delta, _live_outcomes(delta))
         return self.x[1]
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .amplitude import Amplitude, _lift, _reduce, _ring_mul, accumulate
+from .amplitude import Amplitude, _lift, _reduce_rows, _ring_mul, accumulate
 from .errors import UnmappedMode
 
 SPATIAL_ORDER = tuple("abcdefghjklmsuvw")  # alphabetical, so plain Mode order is the slot order
@@ -138,31 +138,25 @@ class FockState:
         """Substitute every creation operator by its image under ``mm``.
 
         One canonical Amplitude per output: the blocks of :meth:`image_rows`
-        of each photon number are merged, and each output's rows reduced.
+        of each photon number are summed (:func:`_block_sum`), and each
+        output's rows reduced.
         """
         slots, sources = self.image_rows(mm)
-        merged = []
-        for _, group in groupby(sources.items(), key=lambda item: len(item[0])):
-            blocks = [block for _, block in group]
-            codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
-            _, codes, ks, nums = _checked_merge((np.zeros_like(ks), codes, ks, nums), len(blocks))
-            h = blocks[0][3]  # every block of one photon number lies at the same half-power
-            merged.append((codes, ks, nums, h))
-        return FockState._from_rows(slots, merged)
+        groups = groupby(sources, key=len)  # image_rows keeps each photon number's monomials together
+        return FockState._from_rows(slots, [_block_sum(sources, [[(m, 1) for m in group]], 0) for _, group in groups])
 
     @staticmethod
-    def _from_rows(slots: list[Mode], merged: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, int]]) -> FockState:
-        """The state of merged kernel rows: one canonical Amplitude per output.
+    def _from_rows(slots: list[Mode], merged: Iterable[tuple]) -> FockState:
+        """The state of summed kernel rows: one canonical Amplitude per output.
 
-        Each of ``merged`` is (codes, ks, nums, h) as :meth:`image_rows` gives
-        a block, its rows merged so that no two share codes and phase power;
-        distinct entries hold distinct outputs.
+        Each of ``merged`` is one input's (src, codes, ks, nums, h) as
+        :func:`_block_sum` gives it; distinct entries hold distinct outputs.
         """
         out: dict[Monomial, Amplitude] = {}
-        for codes, ks, nums, h in merged:
-            for c, terms in groupby(zip(codes.tolist(), ks.tolist(), nums.tolist()), key=itemgetter(0)):
-                coeffs = {k: _reduce(p, q, r, s, h) for _, k, (p, q, r, s) in terms}
-                out[tuple(map(slots.__getitem__, c))] = Amplitude(coeffs, _canonical=True)
+        for _, codes, ks, nums, h in merged:
+            coefficients = zip(ks.tolist(), zip(*(column.tolist() for column in _reduce_rows(nums, h))))
+            for c, terms in groupby(zip(codes.tolist(), coefficients), key=itemgetter(0)):
+                out[tuple(map(slots.__getitem__, c))] = Amplitude(dict(term for _, term in terms), _canonical=True)
         return FockState.__new_canonical(out)
 
     def image_rows(self, mm: "ModeMap") -> tuple[list[Mode], dict]:
@@ -340,13 +334,24 @@ def _times_image(rows: _Rows, modes: np.ndarray, table: tuple) -> _Rows:
     return _merge(src[left], codes, ks[left] + iks[mode, entry], np.column_stack(prod))
 
 
-def _checked_merge(rows: _Rows, n_terms: int) -> _Rows:
-    """``_merge`` of rows of which at most ``n_terms`` share a key, with the
-    numerators as Python ints where their sum could overflow int64."""
-    src, codes, ks, nums = rows
-    if nums.dtype != object and _magnitude(nums) * n_terms >= _INT64_LIMIT:
-        nums = nums.astype(object)
-    return _merge(src, codes, ks, nums)
+def _block_sum(rows: dict, inputs: list[list[tuple[object, int]]], half: int) -> tuple:
+    """The rows of signed sums of inputs, by linearity: input i is 2**(-half/2)
+    times the sum of sign * (the input of block ``rows[key]``) over its (key,
+    sign) terms.  The blocks (codes, ks, nums, h) share h.  Returns (src,
+    codes, ks, nums, h + half), src the input of each row, merged, with
+    Python-int numerators where a sum could overflow int64.  A block's rows
+    share no key, so inputs of one block each are only signed.
+    """
+    owner, blocks, signs = zip(*((i, rows[key], sign) for i, terms in enumerate(inputs) for key, sign in terms))
+    sizes = [len(block[1]) for block in blocks]
+    codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
+    src, nums = np.repeat(owner, sizes), nums * np.repeat(signs, sizes)[:, None]
+    width = max(map(len, inputs))  # at most this many rows share a key
+    if width > 1:
+        if nums.dtype != object and _magnitude(nums) * width >= _INT64_LIMIT:
+            nums = nums.astype(object)
+        src, codes, ks, nums = _merge(src, codes, ks, nums)
+    return src, codes, ks, nums, blocks[0][3] + half
 
 
 def _merge(src: np.ndarray, codes: np.ndarray, ks: np.ndarray, nums: np.ndarray) -> _Rows:

@@ -701,8 +701,9 @@ print(json.dumps([code, calls["kernel"], calls["w"], *built, relay.x is not None
 # product rows, the Z table and an X table, each 1 (true) once built, the
 # number of plans and of merges, and the click lookup; the table is the W
 # batch's 4 passes, which its 16 W propagations share, and the product-row
-# batch adds 17 for the monomials of fewer than four photons.  An X fill
-# that raises keeps nothing
+# batch adds 17 for the monomials of fewer than four photons.  A delay whose
+# phase overflows is rejected before any table is built: four photons reach
+# at most four times the composed map's largest single-photon phase power
 _WORK_PINS = {
     "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     "keyrate": [0, 4, 16, 1, 0, 0, 0, 0, 0, 0],
@@ -711,7 +712,7 @@ _WORK_PINS = {
     "enumerate": [0, 21, 16, 1, 1, 1, 0, 1, 0, 1],
     "simulate --trials 1000": [0, 21, 16, 1, 1, 1, 0, 1, 1, 1],
     "simulate --basis x --delta 0.3927 --trials 1000": [0, 21, 16, 1, 1, 0, 1, 0, 1, 1],
-    "simulate --basis x --delta=1e308 --trials 1000": [1, 21, 16, 1, 1, 0, 0, 0, 0, 1],
+    "simulate --basis x --delta=1e308 --trials 1000": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
 }
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -165,9 +166,14 @@ _SHARED = ModeMap({
 })
 
 
+def _mon(text):
+    """The monomial of "a0 b1 ..."."""
+    return monomial(*(Mode(m[0], int(m[1:])) for m in text.split()))
+
+
 def _many(*terms):
     """A state from ("a0 b1 ...", amplitude) pairs, its monomials in the order given."""
-    return FockState({monomial(*(Mode(m[0], int(m[1:])) for m in mon.split())): amp for mon, amp in terms})
+    return FockState({_mon(mon): amp for mon, amp in terms})
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -257,3 +263,51 @@ def test_kernel_equals_reference_on_survivor_states(monkeypatch, reference_apply
     assert len(calls) == 81 + 66
     for state, mm, out in calls:
         assert out == reference_apply_mode_map(state, mm)
+
+
+# -- the signed block sum against the reference walk ---------------------------
+
+# a and b have one image, so a block of a0 cancels one of b0
+_TWIN = ModeMap({
+    "a": (("e", 0, _one), ("f", 1, _phased)),
+    "b": (("e", 0, _one), ("f", 1, _phased)),
+    "c": (("e", 0, _root), ("g", 0, Amplitude.gauss(0, 1, 1)), ("f", 2, Amplitude({1: (1, 0, 1, -1, 2)}))),
+})
+
+
+@pytest.mark.parametrize(
+    "inputs, half",
+    [
+        ([[("a0 c0", -1)]], 0),
+        ([[("a0 c0", 1), ("b0 c0", -1)], [("a0 a0", 1), ("c0 c1", -1)]], 0),
+        ([[("a0 c0", 1), ("c0 c1", -1), ("a0 a0", 1), ("b0 c1", -1)], [("b0 c1", -1)]], 3),
+    ],
+    ids=["lone-block-negated", "one-input-cancels", "half-3"],
+)
+def test_block_sum_equals_reference_walk(reference_apply_mode_map, inputs, half):
+    # each input's rows give the state that propagating its superposition of
+    # amplitudes +-2**(-half/2) gives; an input that cancels leaves no rows
+    inputs = [[(_mon(mon), sign) for mon, sign in terms] for terms in inputs]
+    slots, rows = FockState(dict.fromkeys((m for terms in inputs for m, _ in terms), _one)).image_rows(_TWIN)
+    src, codes, ks, nums, h = fock._block_sum(rows, inputs, half)
+    for i, terms in enumerate(inputs):
+        mine = FockState._from_rows(slots, [(None, codes[src == i], ks[src == i], nums[src == i], h)])
+        want = reference_apply_mode_map(FockState({m: Amplitude.gauss(sign, 0, half) for m, sign in terms}), _TWIN)
+        assert mine == want, i
+        assert (src == i).any() == (not want.is_zero), i
+
+
+@pytest.mark.parametrize(
+    "big, dtype", [(2**62 - 1, np.int64), (2**62, object)], ids=["below-the-bound", "at-the-bound"]
+)
+def test_block_sum_switches_to_python_ints_at_the_bound(reference_apply_mode_map, big, dtype):
+    # two int64 rows of magnitude big share a key: their sum fits int64 below 2**62, and not at it
+    mm = ModeMap({"a": (("e", 0, _one),), "b": (("e", 0, _one),)})
+    terms = [((Mode("a", 0),), 1), ((Mode("b", 0),), 1)]
+    slots, rows = FockState(dict.fromkeys((m for m, _ in terms), _one)).image_rows(mm)
+    rows = {m: (codes, ks, nums * big, h) for m, (codes, ks, nums, h) in rows.items()}
+    assert all(block[2].dtype == np.int64 for block in rows.values())
+    src, codes, ks, nums, h = fock._block_sum(rows, [terms], 0)
+    assert nums.dtype == dtype
+    want = reference_apply_mode_map(FockState({m: Amplitude.gauss(big * sign) for m, sign in terms}), mm)
+    assert FockState._from_rows(slots, [(src, codes, ks, nums, h)]) == want

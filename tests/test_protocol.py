@@ -217,6 +217,28 @@ def test_announcer_roles_are_symmetric_for_equal_channels():
     assert swapped.e1 == base.e1
 
 
+def test_enumeration_is_invariant_under_the_double_party_swaps():
+    # the relay's Z tables are symmetric under (a b)(c d), (a c)(b d) and
+    # (a d)(b c), so moving every party with its transmittance and announcer
+    # role leaves each exact Fraction as it was; the single swap (a b) is no
+    # symmetry, and changes the result for every pair and mode
+    etas, y0 = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)), Fraction(1, 10**3)
+
+    def moved(perm, announcers, mode):  # party p becomes party perm[p]
+        cfg = TrialConfig(etas=tuple(etas[perm.index(q)] for q in range(4)), y0=y0, mode=mode,
+                          announcers=tuple(perm[r] for r in announcers))
+        return exact_enumerate(cfg)
+
+    changed = 0
+    for announcers, mode in product(permutations(range(4), 2), ("paper", "physical")):
+        base = moved((0, 1, 2, 3), announcers, mode)
+        assert isinstance(base.q1, Fraction)
+        for perm in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+            assert moved(perm, announcers, mode) == base, (announcers, mode, perm)
+        changed += moved((1, 0, 2, 3), announcers, mode) != base
+    assert changed == 24
+
+
 def test_mc_agrees_with_enumerator():
     cfg = TrialConfig(etas=(0.5,) * 4, y0=1e-4, mode="physical", trials=400_000, seed=11)
     tally = run_trials(cfg)
@@ -428,6 +450,26 @@ def test_x_caches_hold_one_delay(monkeypatch, fresh_relay):
     assert fills == [0.1, 0.2, 0.3]
     assert list(fresh_relay.merges) == [(0.1, *sift), (0.2, *sift), (0.3, *sift), (0.3, "paper", (0, 1))]
     assert protocol._entry_merge(None, *sift) is not z_merge and len(fresh_relay.merges) == 4  # merged again
+
+
+@pytest.mark.parametrize(
+    "delta, power", [(1e308, 2), (-1e308, 2), (5e307, 4), (3e307, 6), (2.5e307, 8), (2.2e307, None)]
+)
+def test_an_overflowing_delay_is_rejected_before_any_fill(monkeypatch, delta, power):
+    # the live rows reach phase power 8, four photons times the composed
+    # map's largest single-photon power: the check before a fill rejects
+    # exactly the delays that the fill's own check rejects, with its message
+    message = f"delay delta={delta!r} is too large: phase power {power} times delta overflows"
+    fill, filled = analyzer._live_outcomes, []
+    monkeypatch.setattr(analyzer, "_live_outcomes", filled.append)  # a fill that only logs its delay
+    for run in (fill, analyzer.Relay().x_outcomes):  # the fill's own check, then the one before it
+        if power is None:
+            run(delta)
+            continue
+        with pytest.raises(ValueError) as exc:
+            run(delta)
+        assert str(exc.value) == message
+    assert filled == ([delta] if power is None else [])
 
 
 def test_z_and_x_rows_never_share_a_key(monkeypatch, fresh_relay):
@@ -655,19 +697,17 @@ def _rows(powers):
 
 
 def _blocks(state, mm, scale):
-    """The scaled state's kernel rows of each photon number, merged into one
+    """The scaled state's kernel rows of each photon number, summed into one
     block with one source, and its outputs in Amplitude arithmetic."""
     state = state.scaled(Amplitude.gauss(scale))
     out = state.apply_mode_map(mm)
     slots, sources = state.image_rows(mm)
     by_photons = {}
-    for mon, block in sources.items():
-        by_photons.setdefault(len(mon), []).append(block)
-    for blocks in by_photons.values():
-        codes, ks, nums = (np.concatenate(column) for column in list(zip(*blocks))[:3])
-        src, codes, ks, nums = fock._checked_merge((np.zeros(len(ks), np.int64), codes, ks, nums), len(blocks))
-        block = (src, codes, ks, nums, blocks[0][3])
-        yield slots, block, [(mon, amp) for mon, amp in out.terms() if len(mon) == codes.shape[1]]
+    for mon in sources:
+        by_photons.setdefault(len(mon), []).append((mon, 1))
+    for n, terms in by_photons.items():
+        block = fock._block_sum(sources, [terms], 0)
+        yield slots, block, [(mon, amp) for mon, amp in out.terms() if len(mon) == n]
 
 
 def _listing(slots, outputs):
