@@ -4,6 +4,10 @@ Subcommands: derive-table, verify, catalog, keyrate, enumerate, simulate.
 Every command is deterministic given its flags and seed; outputs carry a
 parameter-echo header.  Exit codes: 0 success, 1 usage error, 2 verification
 mismatch, 3 no positive key rate, 4 oracle disagreement.
+
+Each command returns (exit code, stdout lines or None, stderr lines) and writes
+nothing; main writes stdout or --out, then stderr.  Config and golden files
+are UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import functools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .analyzer import derive_detection_table, reference_table, render_pattern
@@ -62,6 +67,7 @@ _OPTIONS = {
     "basis": (("z", "x"), "z", ("simulate",), None),
 }
 _MAX_POINTS = 100_000  # keyrate sweep length; also stops a step too small to advance
+_Result = tuple[int, list[str] | None, list[str]]  # exit code, stdout lines (None: no output), stderr lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,9 +92,14 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _read_lines(path: str) -> list[str]:
+    """A config or golden file's lines: UTF-8, with or without a byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+
+
 def _read_config(path: str) -> dict:
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,21 +137,11 @@ def _merge(args: argparse.Namespace) -> dict:
     if args.config:
         for key, value in _read_config(args.config).items():
             merged[key] = _config_value(key, value)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
+    merged.update((key, value) for key, value in vars(args).items() if key in _OPTIONS and value is not None)
     for key, (kind, _, _, _) in _OPTIONS.items():
         if kind is float and merged[key] is not None and not math.isfinite(merged[key]):
             raise ValueError(f"{key} must be a finite number, got {merged[key]}")
     return merged
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _sci(x: float) -> str:
@@ -155,12 +156,16 @@ def _sci_e1(e1) -> str:
 # -- derive-table -------------------------------------------------------------
 
 
-def _table_lines(table, fmt: str) -> list[str]:
+def _row(state: str, pattern: str, prob) -> tuple[str, str, str]:
+    """A table row as derive-table writes and compares it: the probability at 10 decimals."""
+    return state, pattern, f"{float(prob):.10f}"
+
+
+def _table_lines(table, rows, fmt: str) -> list[str]:
     lines = [f"# wqkd derive-table format={fmt}"]
     if fmt == "csv":
         lines.append("state,pattern,probability")
-        for state, pattern, prob in table.rows():
-            lines.append(f"{state},{pattern},{float(prob):.10f}")
+        lines.extend(",".join(row) for row in rows)
     else:
         for label in sorted(table.patterns):
             pats = " ".join(render_pattern(p) for p in table.patterns[label])
@@ -173,59 +178,53 @@ def _table_lines(table, fmt: str) -> list[str]:
 
 def _load_golden_rows(path: str) -> list[tuple[str, str, str]]:
     rows = []
-    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("state,"):
             continue
         try:
             state, pattern, prob = line.split(",")
-            rows.append((state, pattern, f"{float(prob):.10f}"))
+            rows.append(_row(state, pattern, prob))
         except ValueError:
             raise ValueError(f"{path}, line {number}: expected state,pattern,probability, got {line!r}") from None
     return rows
 
 
-def cmd_derive_table(opts: dict) -> int:
-    if opts["golden"]:  # read first: a bad golden file prints no table
-        golden_rows = _load_golden_rows(opts["golden"])
-    else:
-        golden_rows = [(s, p, f"{float(pr):.10f}") for s, p, pr in reference_table().rows()]
+def cmd_derive_table(opts: dict) -> _Result:
+    # read first: a bad golden file prints no table
+    golden_rows = _load_golden_rows(opts["golden"]) if opts["golden"] else [_row(*r) for r in reference_table().rows()]
     table = derive_detection_table()
-    fmt = opts["format"] or "text"
-    _emit("\n".join(_table_lines(table, fmt)) + "\n", opts["out"])
-    derived_rows = [(s, p, f"{float(pr):.10f}") for s, p, pr in table.rows()]
-    if derived_rows == golden_rows:
-        print(f"derived table matches golden ({len(derived_rows)} rows)", file=sys.stderr)
-        return EXIT_OK
-    print("derived table differs from golden:", file=sys.stderr)
-    for row in sorted(set(golden_rows) - set(derived_rows)):
-        print(f"  - only in golden:  {','.join(row)}", file=sys.stderr)
-    for row in sorted(set(derived_rows) - set(golden_rows)):
-        print(f"  - only in derived: {','.join(row)}", file=sys.stderr)
-    return EXIT_MISMATCH
+    derived_rows = [_row(*row) for row in table.rows()]
+    lines = _table_lines(table, derived_rows, opts["format"] or "text")
+    diff = Counter(golden_rows)  # the rows as a multiset: > 0 only in golden, < 0 only in derived
+    diff.subtract(derived_rows)
+    if not any(diff.values()):
+        return EXIT_OK, lines, [f"derived table matches golden ({len(derived_rows)} rows)"]
+    err = ["derived table differs from golden:"]
+    for sign, side in ((1, "golden:  "), (-1, "derived: ")):
+        err.extend(f"  - only in {side}{','.join(row)}" for row in sorted(diff) for _ in range(sign * diff[row]))
+    return EXIT_MISMATCH, lines, err
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def cmd_catalog(opts: dict) -> int:
-    _emit("\n".join(catalog_lines()) + "\n", opts["out"])
-    return EXIT_OK
+def cmd_catalog(opts: dict) -> _Result:
+    return EXIT_OK, catalog_lines(), []
 
 
-def cmd_verify(opts: dict) -> int:
+def cmd_verify(opts: dict) -> _Result:
     results = run_all()
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     n_ok = sum(ok for _, ok, _ in results)
     lines.append(f"{'PASS' if n_ok == len(results) else 'FAIL'} {n_ok}/{len(results)} suites")
-    _emit("\n".join(lines) + "\n", opts["out"])
-    return EXIT_OK if n_ok == len(results) else EXIT_MISMATCH
+    return EXIT_OK if n_ok == len(results) else EXIT_MISMATCH, lines, []
 
 
 # -- keyrate ------------------------------------------------------------------
 
 
-def cmd_keyrate(opts: dict) -> int:
+def cmd_keyrate(opts: dict) -> _Result:
     channel = ChannelParams(opts["alpha"], 0.0, opts["eta_d"])
     noise = NoiseParams(opts["y0"])
     rate = RateParams(opts["q"])
@@ -250,14 +249,9 @@ def cmd_keyrate(opts: dict) -> int:
     try:
         dist = secure_distance(channel, noise, constants, rate, d_max=max(opts["dmax"], 2000.0))
     except NoPositiveRate:
-        print("error: key rate non-positive at zero distance", file=sys.stderr)
-        return EXIT_NO_RATE
-    if dist is None:
-        lines.append("# secure_distance_km none (no zero crossing in range)")
-    else:
-        lines.append(f"# secure_distance_km {dist:.1f}")
-    _emit("\n".join(lines) + "\n", opts["out"])
-    return EXIT_OK
+        return EXIT_NO_RATE, None, ["error: key rate non-positive at zero distance"]
+    lines.append("# secure_distance_km " + ("none (no zero crossing in range)" if dist is None else f"{dist:.1f}"))
+    return EXIT_OK, lines, []
 
 
 # -- enumerate / simulate -----------------------------------------------------
@@ -280,12 +274,10 @@ def _case_comparison_lines(result, eta: float, y0: float, constants) -> tuple[li
     return lines, worst
 
 
-def cmd_enumerate(opts: dict) -> int:
+def cmd_enumerate(opts: dict) -> _Result:
     constants = AnalyzerConstants.from_table(derive_detection_table())
-    eta, y0 = opts["eta"], opts["y0"]
-    mode = opts["mode"]
-    paper = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="paper"))
-    physical = exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode="physical"))
+    eta, y0, mode = opts["eta"], opts["y0"], opts["mode"]
+    paper, physical = (exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode=m)) for m in ("paper", "physical"))
     result = paper if mode == "paper" else physical
     q1c = q1_identical(eta, NoiseParams(y0), constants)
     e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else None
@@ -304,11 +296,10 @@ def cmd_enumerate(opts: dict) -> int:
     bad = worst > _REL_TOL or dq > _REL_TOL or de > _REL_TOL
     if bad:
         lines.append("# ORACLE DISAGREEMENT beyond 1e-9: see per-case attribution above")
-    _emit("\n".join(lines) + "\n", opts["out"])
-    return EXIT_ORACLE if bad else EXIT_OK
+    return EXIT_ORACLE if bad else EXIT_OK, lines, []
 
 
-def cmd_simulate(opts: dict) -> int:
+def cmd_simulate(opts: dict) -> _Result:
     if opts["delta"] is not None and opts["basis"] == "z":
         raise ValueError("delta is the X-basis delay; it does not apply to --basis z")
     eta, y0 = opts["eta"], opts["y0"]
@@ -351,8 +342,7 @@ def cmd_simulate(opts: dict) -> int:
             "Q1_exact": "" if exact is None else _sci(float(exact.q1)),
             "e1_exact": "" if exact is None or exact.e1 is None else _sci(float(exact.e1)),
         }
-        for i, frac in enumerate(fracs or [""] * 5, start=1):
-            fields[f"case{i}_frac"] = frac
+        fields.update((f"case{i}_frac", frac) for i, frac in enumerate(fracs or [""] * 5, start=1))
         lines = [header, ",".join(fields), ",".join(str(v) for v in fields.values())]
     else:
         lines = [
@@ -375,8 +365,7 @@ def cmd_simulate(opts: dict) -> int:
         lines.append("# note: no accepted events: e1 undefined")
     elif cfg.basis == "x":
         lines.append("# note: x basis: 'errors' counts equal key-holder x bits")
-    _emit("\n".join(lines) + "\n", opts["out"])
-    return EXIT_OK
+    return EXIT_OK, lines, []
 
 
 _COMMANDS = {
@@ -397,10 +386,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command][0](opts)
+        code, out, err = _COMMANDS[args.command][0](opts)
+        if out is not None:
+            text = "\n".join(out) + "\n"
+            if opts["out"]:
+                Path(opts["out"]).write_text(text)
+            else:
+                sys.stdout.write(text)
     except (ValueError, OSError) as exc:  # OSError: a missing --golden or --out path
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)  # and none of the command's stderr lines
         return EXIT_USAGE
+    sys.stderr.write("".join(f"{line}\n" for line in err))
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations, product
+
+import numpy as np
 
 from wqkd.amplitude import Amplitude
 from wqkd.analyzer import (
+    _CONFIGS,
     INPUT_MODES,
     REFERENCE_OVERALL,
     REFERENCE_SUCCESS,
@@ -15,12 +19,13 @@ from wqkd.analyzer import (
     parse_pattern,
     propagate_w_state,
     reference_table,
+    relay,
     render_pattern,
     slot_mask,
     splitter_map,
     w_analyzer,
 )
-from wqkd.fock import FockState, Mode
+from wqkd.fock import FockState, Mode, monomial
 from wqkd.qubits import bell_state, encode_fock, w_state
 
 from conftest import _outcomes, _survivor_state
@@ -209,3 +214,72 @@ def test_bell_phi_plus_contains_bunched_terms():
     out = net.propagate(encode_fock(bell_state("phi+"), ("a", "b")))
     assert any(len(set(mon)) == 1 for mon, _ in out.terms())
     assert out.norm_amplitude() == Amplitude.one()
+
+
+# The relay's symmetry group (ROADMAP item 13).  A relabelling moves party p
+# to perm[p] and output i of (s, u, v, w) to outs[i], flips every Z bit if
+# flip, and reverses the time bins (t -> 3 - t) if reverse; a survivor
+# configuration ((party, bit), ...) goes to its image, and an output's slot
+# mask bit 4 * i + t to the image slot.  The X mirror holds only within about
+# 1e-12 until the X coefficients are exact (item 4), so it is left out.
+_RELAY_GENERATORS = (
+    ((1, 0, 3, 2), (0, 1, 2, 3), 0, False),  # (a b)(c d)
+    ((2, 3, 0, 1), (0, 1, 2, 3), 0, False),  # (a c)(b d)
+    ((0, 1, 2, 3), (2, 3, 0, 1), 0, False),  # (s v)(u w)
+    ((0, 1, 2, 3), (1, 0, 3, 2), 1, True),  # the mirror: (s u)(v w), Z bits flipped, time reversed
+)
+
+
+def _generated(generators):
+    """Every composition of the generators, the identity included."""
+    group, todo = set(), [((0, 1, 2, 3), (0, 1, 2, 3), 0, False)]
+    while todo:
+        g = todo.pop()
+        if g not in group:
+            group.add(g)
+            todo += [(tuple(h[0][p] for p in g[0]), tuple(h[1][i] for i in g[1]), g[2] ^ h[2], g[3] ^ h[3])
+                     for h in generators]
+    return group
+
+
+def test_the_z_tables_have_exactly_the_sixteen_relay_symmetries():
+    # each configuration's sorted (slot mask, probability bits, bunching-free)
+    # list goes onto its image's under 16 of the 2304 relabellings, bit for bit
+    span, prob, mask, free = relay().z_outcomes
+    bits = prob.view(np.int64)
+
+    def listing(config, slots=range(16)):
+        moved = np.zeros_like(mask[span[config]])
+        for bit, to in enumerate(slots):
+            moved |= ((mask[span[config]] >> bit) & 1) << to
+        columns = (moved, bits[span[config]], free[span[config]])
+        order = np.lexsort(columns[::-1])
+        return [column[order] for column in columns]
+
+    own = {config: listing(config) for config in _CONFIGS}
+
+    def holds(perm, outs, flip, reverse):
+        slots = [4 * outs[i] + (3 - t if reverse else t) for i in range(4) for t in range(4)]
+        return all(
+            all(map(np.array_equal, listing(c, slots), own[tuple(sorted((perm[p], b ^ flip) for p, b in c))]))
+            for c in _CONFIGS
+        )
+
+    moves = product(permutations(range(4)), permutations(range(4)), (0, 1), (False, True))
+    found = {move for move in moves if holds(*move)}
+    assert len(found) == 16
+    assert found == _generated(_RELAY_GENERATORS)
+
+
+def test_the_mirror_maps_each_table_state_onto_its_pair(table):
+    # the paper's pairing: W4,0 with W4,c (12 patterns), W4,1 with W4,d (4)
+    def patterns(label, outs=None):
+        pats = table.patterns[label]
+        if outs:  # the mirror: outputs swapped by outs, time reversed
+            pats = [monomial(*(Mode(outs[m.spatial], 3 - m.bin) for m in pat)) for pat in pats]
+        return dict(zip(pats, table.pattern_probs[label]))
+
+    for outs in ("uswv", "wvus"):  # (s u)(v w) and (s w)(u v)
+        outs = dict(zip("suvw", outs))
+        for label, pair, n in ((0, 12, 12), (1, 13, 4)):
+            assert patterns(label, outs) == patterns(pair) and len(patterns(pair)) == n

@@ -60,8 +60,9 @@ def test_derive_table_tampered_golden(capsys, tmp_path):
     [
         ("derive-table", "--golden", "{tmp}/missing.csv"),
         ("catalog", "--out", "{tmp}/missing/dir/f.txt"),
+        ("derive-table", "--out", "{tmp}/missing/dir/f.txt"),  # its "matches golden" line is not written
     ],
-    ids=["derive-table-golden", "catalog-out"],
+    ids=["derive-table-golden", "catalog-out", "derive-table-out"],
 )
 def test_missing_path_exits_1_with_one_line(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -83,6 +84,58 @@ def test_malformed_golden_line_names_file_and_line(capsys, tmp_path, bad):
     assert code == 1
     assert out == ""
     assert err == f"error: {golden}, line 2: expected state,pattern,probability, got {bad!r}\n"
+
+
+def _reference_rows() -> list[str]:
+    return [f"{s},{p},{float(prob):.10f}" for s, p, prob in reference_table().rows()]
+
+
+def test_derive_table_golden_in_another_row_order_matches(capsys, tmp_path):
+    golden = tmp_path / "g.csv"
+    golden.write_text("\n".join(reversed(_reference_rows())) + "\n")
+    code, out, err = run(capsys, "derive-table", "--golden", str(golden))
+    assert (code, err) == (0, "derived table matches golden (32 rows)\n")
+    assert out == run(capsys, "derive-table")[1]
+
+
+@pytest.mark.parametrize(
+    "edit, side",
+    [(lambda rows: rows + [rows[5]], "golden:  "), (lambda rows: rows[:5] + rows[6:], "derived: ")],
+    ids=["duplicated", "dropped"],
+)
+def test_derive_table_names_the_row_a_golden_has_too_many_or_too_few_of(capsys, tmp_path, edit, side):
+    rows = _reference_rows()
+    golden = tmp_path / "g.csv"
+    golden.write_text("\n".join(edit(rows)) + "\n")
+    code, _, err = run(capsys, "derive-table", "--golden", str(golden))
+    assert (code, err) == (2, f"derived table differs from golden:\n  - only in {side}{rows[5]}\n")
+
+
+@pytest.mark.parametrize("kind", ["golden", "config"])
+def test_a_byte_order_mark_changes_nothing(capsys, tmp_path, kind):
+    # spreadsheet tools often start a saved CSV file with one
+    if kind == "golden":
+        argv, text = ["derive-table", "--golden"], "state,pattern,probability\n" + "\n".join(_reference_rows())
+    else:
+        argv, text = ["simulate", "--config"], "trials = 1000\nseed = 3\nformat = csv\n"
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    result = run(capsys, *argv, str(plain))
+    assert result[0] == 0
+    assert run(capsys, *argv, str(marked)) == result
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_command_returns_its_result_and_writes_nothing(capsys, tmp_path, name):
+    opts = cli._merge(cli._build_parser().parse_args([name]))
+    opts["out"] = str(tmp_path / "out.txt")  # main's to write, not the command's
+    code, out, err = cli._COMMANDS[name][0](opts)
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+    assert code == 0 and all(isinstance(line, str) for line in out + err)
+    assert run(capsys, name) == (code, "\n".join(out) + "\n", "".join(f"{line}\n" for line in err))
 
 
 def test_keyrate_command(capsys, tmp_path):
@@ -107,6 +160,13 @@ def test_keyrate_no_positive_rate(capsys):
     code, _, err = run(capsys, "keyrate", "--eta-d", "1e-6", "--y0", "1e-3", "--dmax", "50", "--dstep", "25")
     assert code == 3
     assert "non-positive" in err
+
+
+def test_keyrate_no_positive_rate_writes_no_out_file(capsys, tmp_path):
+    out_file = tmp_path / "rates.csv"
+    argv = ("keyrate", "--eta-d", "1e-6", "--y0", "1e-3", "--dmax", "50", "--dstep", "25", "--out", str(out_file))
+    assert run(capsys, *argv) == (3, "", "error: key rate non-positive at zero distance\n")
+    assert not out_file.exists()
 
 
 def test_keyrate_bad_range(capsys):
