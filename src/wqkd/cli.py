@@ -275,9 +275,10 @@ def _case_comparison_lines(result, eta: float, y0: float, constants) -> tuple[li
 
 
 def cmd_enumerate(opts: dict) -> _Result:
-    constants = AnalyzerConstants.from_table(derive_detection_table())
     eta, y0, mode = opts["eta"], opts["y0"], opts["mode"]
-    paper, physical = (exact_enumerate(TrialConfig(etas=(eta,) * 4, y0=y0, mode=m)) for m in ("paper", "physical"))
+    configs = [TrialConfig(etas=(eta,) * 4, y0=y0, mode=m) for m in ("paper", "physical")]  # checked before any work
+    constants = AnalyzerConstants.from_table(derive_detection_table())
+    paper, physical = (exact_enumerate(cfg) for cfg in configs)
     result = paper if mode == "paper" else physical
     q1c = q1_identical(eta, NoiseParams(y0), constants)
     e1c = e1_identical(eta, NoiseParams(y0), constants) if q1c > 0 else None

@@ -93,7 +93,7 @@ class TrialConfig:
             # a float or a bool is an integer only by accident of its value
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
+        if len(self.announcers) != 2 or len(set(self.announcers)) != 2 or not all(0 <= r < 4 for r in self.announcers):
             raise ValueError("announcers must be two distinct party indices")
         limit = math.floor(_BUDGET / (1 + _DARK_COST * N_SLOTS * self.y0))  # expected darks: trials * N_SLOTS * y0
         if not 1 <= self.trials <= limit:
@@ -154,37 +154,22 @@ class EnumerationResult:
     error_cases: tuple
 
 
-def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[Fraction, tuple[Fraction, ...], tuple]:
+def _click_terms(survivors: tuple, labels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Walk labels, then their patterns in table order, then photon outcomes.
 
     A term is a (label, pattern, photon outcome) whose outcome slot mask lies
     inside the pattern; its missing count m is the number of pattern slots
-    that dark counts must fill.  Returns the summed probability of the terms
-    with one photon per slot, coeffs[m], the summed probability of the terms
-    missing m, and the walk: the float probability and m of each term, in
-    walk order.
+    that dark counts must fill.  Returns the walk: the float probability and
+    m of each term, in walk order, which is the row-major order of one
+    boolean matrix, the labels' patterns by the survivors' live outcomes.
     """
     patterns = derive_detection_table().patterns
-    span, *columns = relay().z_outcomes
+    span, prob, mask, _ = relay().z_outcomes
     own = span[survivors]  # its live outcomes: no other one lies inside a pattern
-    outcomes = [(p.as_integer_ratio(), p, *rest) for p, *rest in zip(*(column[own].tolist() for column in columns))]
-    unit = math.lcm(*(d for (_, d), *_ in outcomes))  # exact sums in integers, as each Z float is exact
-    rows = [(mmask, 4 - bin(mmask).count("1"), free, n * (unit // d), p) for (n, d), p, mmask, free in outcomes]
-    paper = 0
-    coeffs = [0] * 5
-    probs, missing = [], []
-    for label in labels:
-        for pattern in patterns[label]:
-            pmask = slot_mask(pattern)
-            for mmask, m, free, units, p in rows:
-                if mmask & ~pmask:
-                    continue
-                if free:
-                    paper += units
-                coeffs[m] += units
-                probs.append(p)
-                missing.append(m)
-    return Fraction(paper, unit), tuple(Fraction(c, unit) for c in coeffs), (tuple(probs), tuple(missing))
+    pmasks = np.array([slot_mask(pattern) for label in labels for pattern in patterns[label]])
+    term = np.nonzero((mask[own] & ~pmasks[:, None]) == 0)[1] + own.start
+    bits = np.unpackbits(mask[term, None].view(np.uint8), axis=1).sum(axis=1, dtype=np.intp)
+    return prob[term], 4 - bits  # every pattern has four slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,22 +179,24 @@ class _Plan:
     ``entries`` lists each (input bits, survival subset) the announcers
     accept, in the enumeration's loop order, as (survival subset, key,
     surviving photons, error flag); a key indexes the distinct (survivors,
-    labels) click terms (``_click_terms``).  The float click sums of all
-    keys come from one column pass over ``probs`` and ``missing``.
+    labels) walks (``_click_terms``).  The float click sums of all keys come
+    from one column pass over ``probs`` and ``missing``; k photons one per
+    slot click k slots, so a key's paper sum is its walk's sum at m = 4 - k.
     """
 
     entries: tuple[tuple[int, int, int, bool], ...]
-    exact: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # per key: the paper sum and coeffs
+    exact: tuple[tuple[Fraction, ...], ...]  # per walk: coeffs[m], the summed probability of its terms missing m
     paper: tuple[tuple[float, int], ...]  # per key: float(paper sum), 4 - k
-    column: np.ndarray  # per key: its walk's column; many keys walk alike
+    column: np.ndarray  # per key: its walk's column
     probs: np.ndarray  # column per distinct walk: its terms' float probabilities in order, zero-padded
     missing: np.ndarray  # m of each term, zero-padded
 
     def click(self, key: int, mode: str, powers: list) -> Fraction:
         """A key's exact sum of probability * y0**m over its terms, given powers[m] = y0**m."""
-        paper, coeffs = self.exact[key]
+        coeffs = self.exact[self.column[key]]
         if mode == "paper":  # photons land one per slot on a subset of the pattern
-            return paper * powers[self.paper[key][1]]
+            m = self.paper[key][1]
+            return coeffs[m] * powers[m]
         # threshold semantics: any photon outcome inside the pattern counts;
         # darks complete the unclicked pattern slots
         return left_sum(c * power for c, power in zip(coeffs, powers))
@@ -239,16 +226,26 @@ def _plan(announcers: tuple[int, int]) -> _Plan:
             survivors = _SURVIVORS[bits * 16 + surv]
             key = keys.setdefault((survivors, labels), len(keys))
             entries.append((surv, key, len(survivors), is_error))
-    papers, coeffs, key_walks = zip(*(_click_terms(*key) for key in keys))
-    walks: dict[tuple, int] = {}  # 28 or 29 distinct walks for the 72 keys of a pair
-    column = [walks.setdefault(walk, len(walks)) for walk in key_walks]
-    probs = np.zeros((max(len(p) for p, _ in walks), len(walks)))
+    walks: dict[bytes, tuple] = {}  # 28 or 29 distinct walks for the 72 keys of a pair
+    column = []
+    for key in keys:
+        p, m = _click_terms(*key)
+        column.append(walks.setdefault(p.tobytes() + m.tobytes(), (len(walks), p, m))[0])
+    probs = np.zeros((max(len(p) for _, p, _ in walks.values()), len(walks)))
     missing = np.zeros(probs.shape, np.intp)
-    for j, (p, m) in enumerate(walks):
+    for j, p, m in walks.values():
         probs[: len(p), j] = p
         missing[: len(m), j] = m
-    paper = tuple((float(p), 4 - len(survivors)) for p, (survivors, _) in zip(papers, keys))
-    plan = _Plan(tuple(entries), tuple(zip(papers, coeffs)), paper, np.array(column), probs, missing)
+    # every Z float is exact, so each sum is a whole number of the finest unit 1/2**n among the
+    # terms: n is 11 for this analyzer, so int64 holds every sum
+    unit = 1
+    while (probs * unit % 1).any():
+        unit *= 2
+    units = (probs * unit).astype(np.int64)
+    sums = np.stack([np.where(missing == m, units, 0).sum(axis=0) for m in range(5)], axis=1)
+    exact = tuple(tuple(Fraction(c, unit) for c in walk) for walk in sums.tolist())
+    paper = tuple((float(exact[j][4 - len(s)]), 4 - len(s)) for j, (s, _) in zip(column, keys))  # m = 4 - k
+    plan = _Plan(tuple(entries), exact, paper, np.array(column), probs, missing)
     return relay().plans.setdefault(announcers, plan)
 
 
@@ -275,7 +272,7 @@ def exact_enumerate(cfg: TrialConfig) -> EnumerationResult:
     y0 = cfg.y0
     powers = [y0**m for m in range(5)]
     # exact: a key's click is summed when a weight first needs it
-    clicks = [None] * len(plan.exact) if isinstance(y0, (int, Fraction)) else plan.float_clicks(cfg.mode, powers)
+    clicks = [None] * len(plan.paper) if isinstance(y0, (int, Fraction)) else plan.float_clicks(cfg.mode, powers)
     no_dark_rest = (1 - y0) ** 12
     weights = _survival_weights(cfg.etas)
     gain = [Fraction(0)] * 5

@@ -763,13 +763,15 @@ print(json.dumps([code, calls["kernel"], calls["w"], *built, relay.x is not None
 # batch's 4 passes, which its 16 W propagations share, and the product-row
 # batch adds 17 for the monomials of fewer than four photons.  A delay whose
 # phase overflows is rejected before any table is built: four photons reach
-# at most four times the composed map's largest single-photon phase power
+# at most four times the composed map's largest single-photon phase power;
+# so is a transmittance outside [0, 1]
 _WORK_PINS = {
     "catalog": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     "keyrate": [0, 4, 16, 1, 0, 0, 0, 0, 0, 0],
     "derive-table": [0, 4, 16, 1, 0, 0, 0, 0, 0, 0],
     "verify": [0, 12, 17, 1, 0, 0, 0, 0, 0, 0],
     "enumerate": [0, 21, 16, 1, 1, 1, 0, 1, 0, 1],
+    "enumerate --eta 1.5": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     "simulate --trials 1000": [0, 21, 16, 1, 1, 1, 0, 1, 1, 1],
     "simulate --basis x --delta 0.3927 --trials 1000": [0, 21, 16, 1, 1, 0, 1, 0, 1, 1],
     "simulate --basis x --delta=1e308 --trials 1000": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],

@@ -110,7 +110,7 @@ _PARAMETERS = {
         and _integer(c.seed)
         and c.seed >= 0
         and all(_integer(r) and 0 <= r < 4 for r in c.announcers)
-        and len(set(c.announcers)) == 2,
+        and len(c.announcers) == len(set(c.announcers)) == 2,
     ),
 }
 

@@ -100,7 +100,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrialConfig(**{field: value})
     # a float party index fails in _party_bit, and a bool one runs as party 0 or 1
-    for announcers in ((0.5, 2), (1.0, 2), (True, 2), (0, 3.0), (2, False)):
+    for announcers in ((0.5, 2), (1.0, 2), (True, 2), (0, 3.0), (2, False), (0, 1, 1)):
         with pytest.raises(ValueError, match="announcers"):
             TrialConfig(announcers=announcers)
     # boundary values and exact fractions stay valid
@@ -594,6 +594,16 @@ def test_live_tables_drop_only_dead_outputs(delta):
         want = [(type(p), p, m, f) for _, p, m, f in _outcomes(c, delta) if m in live]
         got = [(type(p), p, m, f) for p, m, f in zip(prob[own].tolist(), mask[own].tolist(), free[own].tolist())]
         assert got == want, c
+
+
+@pytest.mark.parametrize("delta", [None, math.pi / 8], ids=["z", "x-pi/8"])
+def test_an_output_is_bunching_free_exactly_when_its_mask_has_a_bit_per_photon(delta):
+    # the identity the plan's paper rule rests on: k photons one per slot
+    # click k slots, so a key's paper sum is its walk's sum at m = 4 - k
+    span, _, mask, free = analyzer.relay().z_outcomes if delta is None else analyzer._live_outcomes(delta)
+    assert free.any() and not free.all()
+    for c, own in span.items():
+        assert [bin(m).count("1") == len(c) for m in mask[own].tolist()] == free[own].tolist(), c
 
 
 def test_a_new_delay_runs_no_kernel(monkeypatch):
